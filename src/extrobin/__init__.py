@@ -5,8 +5,10 @@ essential spectrum exactly when the coupling is subcritical; this package
 computes it through the modified-Bessel dispersion relation, derives the
 attached Steklov spectra and shape variations at the ball, certifies the
 sign and ratio inequalities behind local maximality on deterministic
-grids, and evaluates the asymptotic ellipsoid and square comparisons that
-rule out global maximality.
+grids, and evaluates two asymptotic comparisons: a flattened ellipsoid
+against the equal-volume ball, which rules out global maximality for
+n >= 3, and the square against the disk, which illustrates the planar
+theorem that the disk wins.
 """
 
 from .bessel import (
@@ -25,9 +27,7 @@ from .counterexample import (
     ComparisonResult,
     EllipsoidSpec,
     HynakResult,
-    asymptotic_lambda,
     compare_ellipsoid_ball,
-    ellipsoid_curvatures,
     ellipsoid_hmax,
     equivalent_ball_radius,
     hynak_check,
@@ -65,7 +65,6 @@ from .spectra import (
     count_discrete,
     harmonic_steklov,
     multiplicity,
-    normalized_boundary_sq,
     shifted_steklov,
     solution_from_lambda,
     solve_lambda,
@@ -77,7 +76,6 @@ from .variation import (
     VariationReport,
     certify_negativity,
     first_variation,
-    first_variation_integrand,
     mode_coefficient,
     quant_bound,
     quant_ratio_check,
@@ -125,16 +123,13 @@ __all__ = [
     "Z_MIN",
     "alpha_of_lambda",
     "alpha_star",
-    "asymptotic_lambda",
     "certify_negativity",
     "compare_ellipsoid_ball",
     "count_discrete",
     "default_certify_grids",
-    "ellipsoid_curvatures",
     "ellipsoid_hmax",
     "equivalent_ball_radius",
     "first_variation",
-    "first_variation_integrand",
     "gap_a",
     "harmonic_steklov",
     "hynak_check",
@@ -144,7 +139,6 @@ __all__ = [
     "modified_bessel_I",
     "modified_bessel_K",
     "multiplicity",
-    "normalized_boundary_sq",
     "parse_grid_file",
     "parse_spectrum_file",
     "quant_bound",

@@ -6,76 +6,59 @@ round-trip decimals (at most 17 significant digits), iteration orders are
 fixed, and no timestamps or environment data enter the output, so
 identical invocations produce byte-identical files.
 
-Exit codes: 0 success, 1 input or constraint error, 2 solver failure or
-no discrete eigenvalue, 3 verification violations.
+Exit codes: 0 success, 1 input or constraint error, 2 solver failure, no
+discrete eigenvalue or arithmetic overflow, 3 verification violations.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv as _csv
+import inspect
 import io
 import json
 import math
 import sys
-
-import click
+from typing import NoReturn
 
 from .bessel import BesselOrder, gap_a, modified_bessel_K, ratio_f
 from .counterexample import (
-    EllipsoidSpec,
-    compare_ellipsoid_ball,
-    ellipsoid_hmax,
-    equivalent_ball_radius,
-    hynak_check,
-    hynak_threshold,
-    square_vs_disk,
+    EllipsoidSpec, compare_ellipsoid_ball, ellipsoid_hmax, equivalent_ball_radius, hynak_check,
+    hynak_threshold, square_vs_disk,
 )
-from .errors import (
-    ConstraintViolationError,
-    DegenerateSpectrumError,
-    DomainError,
-    GridFileError,
-    NoDiscreteEigenvalueError,
-    RangeLimitError,
-    SolverConvergenceError,
-)
+from .errors import ExtrobinError, NoDiscreteEigenvalueError, RangeLimitError, SolverConvergenceError
 from .report import parse_grid_file, parse_spectrum_file
 from .spectra import (
-    BallGeometry,
-    Z_MAX,
-    Z_MIN,
-    alpha_star,
-    count_discrete,
-    shifted_steklov,
-    solution_from_lambda,
+    BallGeometry, Z_MAX, Z_MIN, alpha_star, count_discrete, shifted_steklov, solution_from_lambda,
     solve_lambda,
 )
-from .variation import (
-    PerturbationSpectrum,
-    quant_bound,
-    quant_ratio_check,
-    second_variation,
-)
+from .variation import PerturbationSpectrum, quant_bound, quant_ratio_check, second_variation
 from .verify import run_suites
 
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
 EXIT_VIOLATIONS = 3
 
-_FORMAT_OPTION = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv"]),
-    default="json",
-    show_default=True,
-    help="output encoding",
-)
-_OUT_OPTION = click.option(
-    "--out",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
-    help="write to this file instead of stdout",
-)
+
+class _UsageError(Exception):
+    """A missing, unknown or malformed flag, or an unwritable ``--out``."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """``argparse`` with this CLI's conventions.
+
+    Usage errors raise instead of exiting 2, which is the solver-failure
+    code here; flags must be spelled out in full; ``--help`` has no ``-h``
+    alias.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False,
+                         formatter_class=argparse.RawDescriptionHelpFormatter, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(message)
 
 
 def _fmt_cell(value) -> str:
@@ -90,28 +73,29 @@ def _fmt_cell(value) -> str:
 
 def _write(text: str, out: str | None) -> None:
     if out is None:
-        click.echo(text, nl=False)
-    else:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _emit_record(record: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+        _write(_json(record), out)
     else:
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(record.keys())
-        writer.writerow([_fmt_cell(v) for v in record.values()])
-        text = buf.getvalue()
-    _write(text, out)
+        _emit_table(tuple(record), [tuple(record.values())], fmt, out)
 
 
 def _emit_table(header: tuple[str, ...], rows: list[tuple], fmt: str, out: str | None) -> None:
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json([dict(zip(header, row)) for row in rows])
     else:
         buf = io.StringIO()
         writer = _csv.writer(buf, lineterminator="\n")
@@ -126,28 +110,12 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
         values = tuple(sorted({int(tok) for tok in text.split(",") if tok.strip()}))
     except ValueError as exc:
-        raise click.UsageError(f"{flag} expects comma-separated integers: {exc}")
+        raise _UsageError(f"{flag} expects comma-separated integers: {exc}")
     if not values:
-        raise click.UsageError(f"{flag} must name at least one value")
+        raise _UsageError(f"{flag} must name at least one value")
     return values
 
 
-@click.group(name="extrobin")
-def cli() -> None:
-    """Principal Robin eigenvalue outside a ball.
-
-    Dispersion solves, Steklov spectra, shape variations, asymptotic
-    comparisons, and certified inequality suites.
-    """
-
-
-@cli.command(name="dispersion")
-@click.option("--n", "n", type=int, required=True, help="space dimension, n >= 2")
-@click.option("--radius", type=float, default=1.0, show_default=True, help="ball radius R")
-@click.option("--alpha", type=float, default=None, help="Robin coupling (negative)")
-@click.option("--lambda", "lam", type=float, default=None, help="prescribed eigenvalue (negative)")
-@_FORMAT_OPTION
-@_OUT_OPTION
 def cmd_dispersion(n: int, radius: float, alpha: float | None, lam: float | None, fmt: str, out: str | None) -> None:
     """Solve the dispersion relation at one parameter point.
 
@@ -155,7 +123,7 @@ def cmd_dispersion(n: int, radius: float, alpha: float | None, lam: float | None
     coupling to the eigenvalue (root solve) or back (closed form).
     """
     if (alpha is None) == (lam is None):
-        raise click.UsageError("exactly one of --alpha / --lambda is required")
+        raise _UsageError("exactly one of --alpha / --lambda is required")
     geom = BallGeometry(n, radius)
     if alpha is not None:
         sol = solve_lambda(geom, alpha)
@@ -175,13 +143,6 @@ def cmd_dispersion(n: int, radius: float, alpha: float | None, lam: float | None
     _emit_record(record, fmt, out)
 
 
-@cli.command(name="curve")
-@click.option("--n", "dims_text", default="2,3,4,5", show_default=True, help="comma-separated dimensions")
-@click.option("--radius", type=float, default=1.0, show_default=True, help="ball radius R")
-@click.option("--lambda-min", type=float, required=True, help="most negative eigenvalue")
-@click.option("--lambda-max", type=float, required=True, help="least negative eigenvalue")
-@click.option("--points", type=int, default=200, show_default=True, help="rows per dimension block")
-@_OUT_OPTION
 def cmd_curve(dims_text: str, radius: float, lambda_min: float, lambda_max: float, points: int, out: str | None) -> None:
     """Emit dispersion-curve data as CSV: alpha against lambda per dimension.
 
@@ -190,13 +151,13 @@ def cmd_curve(dims_text: str, radius: float, lambda_min: float, lambda_max: floa
     """
     dims = _parse_int_list(dims_text, "--n")
     if points < 2:
-        raise click.UsageError("--points must be >= 2")
+        raise _UsageError("--points must be >= 2")
     if not (lambda_min < lambda_max < 0.0):
-        raise click.UsageError("range must satisfy lambda-min < lambda-max < 0")
+        raise _UsageError("range must satisfy lambda-min < lambda-max < 0")
     z_hi = radius * math.sqrt(-lambda_min)
     z_lo = radius * math.sqrt(-lambda_max)
     if z_hi > Z_MAX or z_lo < Z_MIN:
-        raise click.UsageError(
+        raise _UsageError(
             f"lambda range maps to z in [{z_lo:.3g}, {z_hi:.3g}], outside the "
             f"supported window [{Z_MIN:g}, {Z_MAX:g}]"
         )
@@ -212,13 +173,6 @@ def cmd_curve(dims_text: str, radius: float, lambda_min: float, lambda_max: floa
     _emit_table(("n", "R", "lambda", "z", "alpha"), rows, "csv", out)
 
 
-@cli.command(name="steklov")
-@click.option("--n", "n", type=int, required=True, help="space dimension, n >= 2")
-@click.option("--radius", type=float, default=1.0, show_default=True, help="ball radius R")
-@click.option("--alpha", type=float, required=True, help="Robin coupling (negative)")
-@click.option("--kmax", type=int, default=10, show_default=True, help="largest harmonic degree")
-@_FORMAT_OPTION
-@_OUT_OPTION
 def cmd_steklov(n: int, radius: float, alpha: float, kmax: int, fmt: str, out: str | None) -> None:
     """Tabulate the shifted Steklov levels of the solved exterior problem."""
     geom = BallGeometry(n, radius)
@@ -237,7 +191,7 @@ def cmd_steklov(n: int, radius: float, alpha: float, kmax: int, fmt: str, out: s
             ),
             "levels": [{"k": l.k, "mu": l.mu, "multiplicity": l.dim} for l in levels],
         }
-        _write(json.dumps(record, indent=2, sort_keys=True) + "\n", out)
+        _write(_json(record), out)
     else:
         rows = [(l.k, l.mu, l.dim) for l in levels]
         _emit_table(("k", "mu", "multiplicity"), rows, "csv", out)
@@ -248,14 +202,6 @@ def _load_spectrum(path: str, kmax: int) -> PerturbationSpectrum:
     return PerturbationSpectrum(entries=tuple(entries), k_max=kmax)
 
 
-@cli.command(name="second-variation")
-@click.option("--n", "n", type=int, required=True, help="space dimension, n >= 2")
-@click.option("--radius", type=float, default=1.0, show_default=True, help="ball radius R")
-@click.option("--alpha", type=float, required=True, help="Robin coupling (negative)")
-@click.option("--spectrum", type=click.Path(dir_okay=False), required=True, help="perturbation coefficient file (lines 'k i b')")
-@click.option("--kmax", type=int, default=64, show_default=True, help="degree cap for the spectrum")
-@_FORMAT_OPTION
-@_OUT_OPTION
 def cmd_second_variation(n: int, radius: float, alpha: float, spectrum: str, kmax: int, fmt: str, out: str | None) -> None:
     """Second variation of the eigenvalue under a harmonic perturbation.
 
@@ -295,14 +241,6 @@ def cmd_second_variation(n: int, radius: float, alpha: float, spectrum: str, kma
     _emit_record(record, fmt, out)
 
 
-@cli.command(name="quant-bound")
-@click.option("--n", "n", type=int, required=True, help="space dimension, n >= 2")
-@click.option("--radius", type=float, default=1.0, show_default=True, help="ball radius R")
-@click.option("--alpha", type=float, required=True, help="Robin coupling (negative)")
-@click.option("--spectrum", type=click.Path(dir_okay=False), default=None, help="optional spectrum to evaluate the ratio on")
-@click.option("--kmax", type=int, default=64, show_default=True, help="degree cap for the spectrum")
-@_FORMAT_OPTION
-@_OUT_OPTION
 def cmd_quant_bound(n: int, radius: float, alpha: float, spectrum: str | None, kmax: int, fmt: str, out: str | None) -> None:
     """Certified bound on lambda_ddot / S_ddot, optionally tested on a spectrum."""
     geom = BallGeometry(n, radius)
@@ -324,17 +262,6 @@ def cmd_quant_bound(n: int, radius: float, alpha: float, spectrum: str | None, k
     _emit_record(record, fmt, out)
 
 
-@cli.group(name="counterexample")
-def cmd_counterexample() -> None:
-    """Asymptotic comparisons of non-ball domains against the ball."""
-
-
-@cmd_counterexample.command(name="ellipsoid")
-@click.option("--n", "n", type=int, required=True, help="space dimension, n >= 3")
-@click.option("--a", "aspect", type=float, required=True, help="aspect parameter in (0, 1)")
-@click.option("--alpha", type=float, required=True, help="Robin coupling (negative)")
-@_FORMAT_OPTION
-@_OUT_OPTION
 def cmd_counterexample_ellipsoid(n: int, aspect: float, alpha: float, fmt: str, out: str | None) -> None:
     """Quadratic truncations: flattened ellipsoid against the equal-volume ball."""
     spec = EllipsoidSpec(n=n, a=aspect)
@@ -363,10 +290,6 @@ def cmd_counterexample_ellipsoid(n: int, aspect: float, alpha: float, fmt: str, 
     _emit_record(record, fmt, out)
 
 
-@cmd_counterexample.command(name="square")
-@click.option("--alpha", type=float, required=True, help="Robin coupling (negative)")
-@_FORMAT_OPTION
-@_OUT_OPTION
 def cmd_counterexample_square(alpha: float, fmt: str, out: str | None) -> None:
     """Quadratic truncations: square against the unit disk (planar case)."""
     comp = square_vs_disk(alpha)
@@ -381,50 +304,32 @@ def cmd_counterexample_square(alpha: float, fmt: str, out: str | None) -> None:
     _emit_record(record, fmt, out)
 
 
-@cli.command(name="verify")
-@click.option(
-    "--suite",
-    type=click.Choice(["bessel", "spectra", "variation", "quant", "all"]),
-    default="all",
-    show_default=True,
-    help="which property suite to run",
-)
-@click.option("--grid", type=click.Path(dir_okay=False), default=None, help="JSON grid file overriding the defaults")
-@_FORMAT_OPTION
-@_OUT_OPTION
 def cmd_verify(suite: str, grid: str | None, fmt: str, out: str | None) -> None:
-    """Run property suites and report violations; exit 3 if any are found."""
+    """Run property suites and report violations; exit 3 if any are found.
+
+    A grid file drives the bessel and variation suites only; the spectra
+    and quant suites run fixed grids and reject --grid.
+    """
+    if grid is not None and suite in ("spectra", "quant"):
+        raise _UsageError(f"--grid does not apply to --suite {suite}")
     cfg = parse_grid_file(grid) if grid is not None else None
     reports = run_suites((suite,), cfg)
     if fmt == "json":
-        text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
+        _write(_json([r.to_dict() for r in reports]), out)
     else:
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ("record", "suite", "status", "checks_run", "check_id", "params", "lhs", "rhs", "margin")
-        )
+        rows: list[tuple] = []
         for r in reports:
-            writer.writerow(("summary", r.suite, r.status, r.checks_run, "", "", "", "", ""))
-            for v in r.violations:
-                writer.writerow(
-                    (
-                        "violation",
-                        r.suite,
-                        r.status,
-                        r.checks_run,
-                        v.check_id,
-                        json.dumps(dict(v.params), sort_keys=True),
-                        _fmt_cell(v.lhs),
-                        _fmt_cell(v.rhs),
-                        _fmt_cell(v.margin),
-                    )
-                )
-        text = buf.getvalue()
-    _write(text, out)
+            rows.append(("summary", r.suite, r.status, r.checks_run, "", "", "", "", ""))
+            rows.extend(
+                ("violation", r.suite, r.status, r.checks_run, v.check_id,
+                 json.dumps(dict(v.params), sort_keys=True), v.lhs, v.rhs, v.margin)
+                for v in r.violations
+            )
+        header = ("record", "suite", "status", "checks_run", "check_id", "params", "lhs", "rhs", "margin")
+        _emit_table(header, rows, "csv", out)
     if out is not None:
         for r in reports:
-            click.echo(
+            print(
                 f"{r.suite}: {r.status} ({r.checks_run} checks, "
                 f"{len(r.violations)} violations)"
             )
@@ -432,30 +337,18 @@ def cmd_verify(suite: str, grid: str | None, fmt: str, out: str | None) -> None:
         sys.exit(EXIT_VIOLATIONS)
 
 
-@cli.command(name="bessel-table")
-@click.option("--orders", default="0,1/2,1,3/2", show_default=True, help="comma-separated K orders (integers or half-integers)")
-@click.option("--n", "dims_text", default="", help="comma-separated dimensions for ratio and gap columns")
-@click.option("--zmin", type=float, default=1e-3, show_default=True, help="smallest argument")
-@click.option("--zmax", type=float, default=700.0, show_default=True, help="largest argument")
-@click.option("--points", type=int, default=50, show_default=True, help="log-spaced point count")
-@_FORMAT_OPTION
-@_OUT_OPTION
 def cmd_bessel_table(orders: str, dims_text: str, zmin: float, zmax: float, points: int, fmt: str, out: str | None) -> None:
     """Dump scaled kernels e^z K_m(z) plus ratio and gap columns on a z grid."""
-    try:
-        order_list = [BesselOrder.parse(tok.strip()) for tok in orders.split(",") if tok.strip()]
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
+    order_list = [BesselOrder.parse(tok.strip()) for tok in orders.split(",") if tok.strip()]
     if not order_list:
-        raise click.UsageError("--orders must name at least one order")
+        raise _UsageError("--orders must name at least one order")
     dims = _parse_int_list(dims_text, "--n") if dims_text else ()
-    for n in dims:
-        if n < 2:
-            raise click.UsageError("--n dimensions must be >= 2")
+    if any(n < 2 for n in dims):
+        raise _UsageError("--n dimensions must be >= 2")
     if not (0.0 < zmin < zmax <= 1e6):
-        raise click.UsageError("need 0 < zmin < zmax <= 1e6")
+        raise _UsageError("need 0 < zmin < zmax <= 1e6")
     if not 2 <= points <= 100000:
-        raise click.UsageError("--points must lie in [2, 100000]")
+        raise _UsageError("--points must lie in [2, 100000]")
     header = (
         ("z",)
         + tuple(f"K_scaled_{o}" for o in order_list)
@@ -475,27 +368,133 @@ def cmd_bessel_table(orders: str, dims_text: str, zmin: float, zmax: float, poin
     _emit_table(header, rows, fmt, out)
 
 
+def _command(commands, name: str, func) -> _Parser:
+    doc = inspect.getdoc(func)
+    parser = commands.add_parser(name, help=doc.splitlines()[0], description=doc)
+    parser.set_defaults(func=func)
+    return parser
+
+
+_OUT_HELP = "write to this file instead of stdout"
+
+
+def _ball_flags(parser: _Parser, alpha_required: bool = True) -> None:
+    parser.add_argument("--n", type=int, required=True, help="space dimension, n >= 2")
+    parser.add_argument("--radius", type=float, default=1.0, help="ball radius R (default: 1.0)")
+    parser.add_argument("--alpha", type=float, required=alpha_required, help="Robin coupling (negative)")
+
+
+def _output_flags(parser: _Parser) -> None:
+    parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
+                        help="output encoding (default: json)")
+    parser.add_argument("--out", metavar="FILE", help=_OUT_HELP)
+
+
+def _build_parser() -> _Parser:
+    root = _Parser(
+        prog="extrobin",
+        description="Principal Robin eigenvalue outside a ball.\n\n"
+        "Dispersion solves, Steklov spectra, shape variations, asymptotic\n"
+        "comparisons, and certified inequality suites.",
+    )
+    commands = root.add_subparsers(required=True, metavar="COMMAND")
+
+    p = _command(commands, "dispersion", cmd_dispersion)
+    _ball_flags(p, alpha_required=False)
+    p.add_argument("--lambda", dest="lam", metavar="LAMBDA", type=float, help="prescribed eigenvalue (negative)")
+    _output_flags(p)
+
+    p = _command(commands, "curve", cmd_curve)
+    p.add_argument("--n", dest="dims_text", metavar="DIMS", default="2,3,4,5", help="comma-separated dimensions (default: 2,3,4,5)")
+    p.add_argument("--radius", type=float, default=1.0, help="ball radius R (default: 1.0)")
+    p.add_argument("--lambda-min", type=float, required=True, help="most negative eigenvalue")
+    p.add_argument("--lambda-max", type=float, required=True, help="least negative eigenvalue")
+    p.add_argument("--points", type=int, default=200, help="rows per dimension block (default: 200)")
+    p.add_argument("--out", metavar="FILE", help=_OUT_HELP)
+
+    p = _command(commands, "steklov", cmd_steklov)
+    _ball_flags(p)
+    p.add_argument("--kmax", type=int, default=10, help="largest harmonic degree (default: 10)")
+    _output_flags(p)
+
+    p = _command(commands, "second-variation", cmd_second_variation)
+    _ball_flags(p)
+    p.add_argument("--spectrum", required=True, help="perturbation coefficient file (lines 'k i b')")
+    p.add_argument("--kmax", type=int, default=64, help="degree cap for the spectrum (default: 64)")
+    _output_flags(p)
+
+    p = _command(commands, "quant-bound", cmd_quant_bound)
+    _ball_flags(p)
+    p.add_argument("--spectrum", help="optional spectrum to evaluate the ratio on")
+    p.add_argument("--kmax", type=int, default=64, help="degree cap for the spectrum (default: 64)")
+    _output_flags(p)
+
+    doc = "Asymptotic comparisons of non-ball domains against the ball."
+    p = commands.add_parser("counterexample", help=doc, description=doc)
+    shapes = p.add_subparsers(required=True, metavar="SHAPE")
+    p = _command(shapes, "ellipsoid", cmd_counterexample_ellipsoid)
+    p.add_argument("--n", type=int, required=True, help="space dimension, n >= 3")
+    p.add_argument("--a", dest="aspect", metavar="A", type=float, required=True, help="aspect parameter in (0, 1)")
+    p.add_argument("--alpha", type=float, required=True, help="Robin coupling (negative)")
+    _output_flags(p)
+    p = _command(shapes, "square", cmd_counterexample_square)
+    p.add_argument("--alpha", type=float, required=True, help="Robin coupling (negative)")
+    _output_flags(p)
+
+    p = _command(commands, "verify", cmd_verify)
+    p.add_argument("--suite", choices=("bessel", "spectra", "variation", "quant", "all"), default="all",
+                   help="which property suite to run (default: all)")
+    p.add_argument("--grid", help="JSON grid file overriding the defaults")
+    _output_flags(p)
+
+    p = _command(commands, "bessel-table", cmd_bessel_table)
+    p.add_argument("--orders", default="0,1/2,1,3/2",
+                   help="comma-separated K orders, integers or half-integers (default: 0,1/2,1,3/2)")
+    p.add_argument("--n", dest="dims_text", metavar="DIMS", default="", help="comma-separated dimensions for ratio and gap columns")
+    p.add_argument("--zmin", type=float, default=1e-3, help="smallest argument (default: 0.001)")
+    p.add_argument("--zmax", type=float, default=700.0, help="largest argument (default: 700.0)")
+    p.add_argument("--points", type=int, default=50, help="log-spaced point count (default: 50)")
+    _output_flags(p)
+    return root
+
+
+cli = _build_parser()
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """Join each ``--flag value`` pair into ``--flag=value``.
+
+    Every flag but ``--help`` takes one value: the next token, even one such
+    as ``-1e-6`` that argparse alone would read as a flag.
+    """
+    out: list[str] = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok.startswith("--") and tok not in ("--", "--help") and "=" not in tok:
+            value = next(tokens, None)
+            if value is not None:
+                tok = f"{tok}={value}"
+        out.append(tok)
+    return out
+
+
+def _fail(message: str, code: int) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(code)
+
+
 def main(argv: list[str] | None = None) -> None:
     """Entry point with the documented exit-code mapping."""
     try:
-        cli.main(args=argv, prog_name="extrobin", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_INPUT)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_INPUT)
-    except click.Abort:
-        click.echo("aborted", err=True)
-        sys.exit(EXIT_INPUT)
-    except (DomainError, ConstraintViolationError, DegenerateSpectrumError, GridFileError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        args = vars(cli.parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
+        args.pop("func")(**args)
     except (NoDiscreteEigenvalueError, RangeLimitError, SolverConvergenceError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SOLVER)
+        _fail(str(exc), EXIT_SOLVER)
+    except (_UsageError, ExtrobinError) as exc:
+        _fail(str(exc), EXIT_INPUT)
+    except ArithmeticError as exc:
+        # Overflow or division by zero from inputs of extreme magnitude.
+        _fail(f"{type(exc).__name__}: {exc}", EXIT_SOLVER)
 
 
 if __name__ == "__main__":

@@ -103,31 +103,15 @@ class ComparisonResult:
     note: str
 
 
-def ellipsoid_curvatures(spec: EllipsoidSpec, x_axis: float) -> tuple[float, float]:
-    """Principal curvatures of the ellipsoid at axis coordinate ``x_axis``.
-
-    Returns ``(kappa_common, kappa_last)``: the ``n - 2`` equal curvatures
-    in the rotationally symmetric directions and the meridian curvature.
-    With ``D = 1 + a^2 (a^2 - 1) x_axis^2`` they are ``1/sqrt(D)`` and
-    ``a^2 / D^{3/2}``.  ``x_axis`` ranges over ``[-1/a, 1/a]``.
-    """
-    a = spec.a
-    if not math.isfinite(x_axis) or abs(x_axis) > 1.0 / a:
-        raise DomainError(
-            f"axis coordinate must lie in [-1/a, 1/a] = [-{1.0 / a:g}, {1.0 / a:g}], "
-            f"got {x_axis}"
-        )
-    d = 1.0 + a * a * (a * a - 1.0) * x_axis * x_axis
-    sqrt_d = math.sqrt(d)
-    return (1.0 / sqrt_d, a * a / (d * sqrt_d))
-
-
 def ellipsoid_hmax(spec: EllipsoidSpec) -> float:
     """Largest mean curvature of the ellipsoid seen from the exterior.
 
-    The mean curvature at axis coordinate ``x`` is
-    ``-((n-2) kappa_common + kappa_last)/(n-1)``; it is maximal on the
-    equator ``x = 0``, giving ``-(n - 2 + a^2)/(n - 1)``.
+    At axis coordinate ``x`` in ``[-1/a, 1/a]``, with
+    ``D = 1 + a^2 (a^2 - 1) x^2``, the ``n - 2`` rotationally symmetric
+    principal curvatures are ``1/sqrt(D)`` and the meridian curvature is
+    ``a^2 / D^{3/2}``.  The mean curvature
+    ``-((n-2)/sqrt(D) + a^2/D^{3/2})/(n-1)`` is maximal on the equator
+    ``x = 0``, giving ``-(n - 2 + a^2)/(n - 1)``.
     """
     return -(spec.n - 2 + spec.a * spec.a) / (spec.n - 1)
 
@@ -135,11 +119,6 @@ def ellipsoid_hmax(spec: EllipsoidSpec) -> float:
 def equivalent_ball_radius(spec: EllipsoidSpec) -> float:
     """Radius of the ball with the ellipsoid's volume: ``a^{-1/n}``."""
     return spec.a ** (-1.0 / spec.n)
-
-
-def asymptotic_lambda(model: AsymptoticModel, alpha: float) -> float:
-    """Quadratic strong-coupling truncation of the principal eigenvalue."""
-    return model.evaluate(alpha)
 
 
 def _criterion_gap(n: int, a: float) -> float:

@@ -319,13 +319,6 @@ def _boundary_sq(n: int, R: float, z: float) -> float:
     return z * z * kz * kz / (omega * R**n * val)
 
 
-def normalized_boundary_sq(sol: SpectralSolution, norm: float = 1.0) -> float:
-    """Boundary value squared of the eigenfunction with L2 norm ``norm``."""
-    if not math.isfinite(norm) or norm <= 0.0:
-        raise DomainError(f"norm must be positive and finite, got {norm}")
-    return norm * norm * sol.u_boundary_sq
-
-
 def shifted_steklov(sol: SpectralSolution, k_max: int) -> list[SteklovLevel]:
     """Shifted Steklov levels ``mu_k`` of the solved exterior problem.
 

@@ -151,30 +151,6 @@ def first_variation(sol: SpectralSolution, v_dot: float) -> float:
     return sol.K_const * sol.u_boundary_sq * v_dot
 
 
-def first_variation_integrand(
-    grad_u_sq: float,
-    u_sq: float,
-    h_ext: float,
-    *,
-    alpha: float,
-    lam: float,
-    n: int,
-) -> float:
-    """Pointwise density of the shape derivative on a general boundary.
-
-    ``grad_u_sq`` is the squared full gradient, ``u_sq`` the squared trace,
-    ``h_ext`` the mean curvature with respect to the outward normal of the
-    exterior domain.  On the ball, where ``grad_u_sq = alpha^2 u_sq`` and
-    ``h_ext = -1/R``, the density reduces to ``K * u_sq``.
-    """
-    return -(
-        grad_u_sq
-        - 2.0 * alpha * alpha * u_sq
-        + alpha * u_sq * (n - 1) * h_ext
-        - lam * u_sq
-    )
-
-
 def _mode_coefficients(sol: SpectralSolution, k_max: int) -> list[float]:
     """Mode coefficients ``L(k)`` for ``k = 1..k_max`` from one Steklov ladder."""
     n, R = sol.geom.n, sol.geom.R

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 import random
 
-from .bessel import BesselOrder, gap_a, identity_residuals, modified_bessel_K, ratio_f, segura_bracket
+from .bessel import (
+    EULER_GAMMA, BesselOrder, gap_a, identity_residuals, modified_bessel_K, ratio_f, segura_bracket,
+)
 from .errors import DomainError
 from .report import GridConfig, VerificationReport, Violation
 from .spectra import (
@@ -36,7 +38,6 @@ from .variation import (
 
 _SEED = 20260816
 _BESSEL_DIMS = tuple(range(2, 13))
-_EULER_GAMMA = 0.5772156649015328606065120900824024
 
 
 class _Recorder:
@@ -251,7 +252,7 @@ def run_bessel_suite(grid: GridConfig | None = None) -> VerificationReport:
 
     # Log-singularity coefficient of K_0 near zero.
     k0 = modified_bessel_K(BesselOrder(0), 0.01).mantissa
-    ref = -math.log(0.005) - _EULER_GAMMA
+    ref = -math.log(0.005) - EULER_GAMMA
     rec.check(
         abs(k0 / ref - 1.0) <= 1e-3,
         "k0-log-asymptote",

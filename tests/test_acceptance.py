@@ -23,7 +23,6 @@ from extrobin import (
     default_certify_grids,
     EllipsoidSpec,
     AsymptoticModel,
-    asymptotic_lambda,
     gap_a,
     hynak_check,
     mode_coefficient,
@@ -153,7 +152,7 @@ def test_criterion_09_counterexample() -> None:
         model = AsymptoticModel(n=3, h_max=-1.0 / R)
         for alpha in (-10.0 / R, -100.0 / R):
             lam = solve_lambda(BallGeometry(3, R), alpha).lam
-            defect = lam - asymptotic_lambda(model, alpha)
+            defect = lam - model.evaluate(alpha)
             assert abs(defect + 1.0 / (R * R)) <= 1e-9 * max(1.0, abs(lam))
 
 

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: subcommand contracts, exit codes, file formats,
-and byte determinism, driven through subprocesses."""
+and byte determinism, driven through subprocesses; error paths and extreme
+inputs also run in-process through ``cli.main``."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import extrobin.cli as cli_mod
 from extrobin import VerificationReport, Violation
@@ -308,3 +312,77 @@ def test_help_lists_subcommands() -> None:
         "quant-bound", "counterexample", "verify", "bessel-table",
     ):
         assert name in proc.stdout
+
+
+def run_in_process(*args: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.main`` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli_mod.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_verify_grid_rejected_for_fixed_grid_suites(tmp_path) -> None:
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"dims": [3]}))
+    for suite in ("spectra", "quant"):
+        code, out, err = run_in_process("verify", "--suite", suite, "--grid", str(cfg))
+        assert code == 1 and out == ""
+        assert err == f"error: --grid does not apply to --suite {suite}\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (("dispersion", "--n", "3", "--radius", "1e-200", "--alpha", "-1e201"), 2),
+        (("dispersion", "--n", "3", "--radius", "1e200", "--alpha", "-5e-200"), 2),
+        (("quant-bound", "--n", "3", "--radius", "1e-120", "--alpha", "-3e120"), 2),
+        (("dispersion", "--n", "3", "--alpha", "-3", "--out", "{missing}/x.json"), 1),
+        (("dispersion", "--n", "3", "--alpha", "-3", "--out", "{dir}"), 1),
+    ],
+)
+def test_failures_exit_with_one_error_line(tmp_path, argv, code) -> None:
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    got, out, err = run_in_process(*argv)
+    assert got == code and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_EXTREME = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["alpha", "lambda", "steklov", "quant-bound", "curve"]),
+    n=st.integers(2, 12),
+    radius=_EXTREME,
+    value=_EXTREME,
+    other=_EXTREME,
+)
+@example(command="alpha", n=3, radius=1e-200, value=-1e201, other=0.0)
+@example(command="alpha", n=3, radius=1e200, value=-5e-200, other=0.0)
+@example(command="quant-bound", n=3, radius=1e-120, value=-3e120, other=0.0)
+def test_extreme_inputs_end_in_an_exit_code(command, n, radius, value, other) -> None:
+    point = ["--n", str(n), "--radius", repr(radius)]
+    argv = {
+        "alpha": ["dispersion", *point, "--alpha", repr(value)],
+        "lambda": ["dispersion", *point, "--lambda", repr(value)],
+        "steklov": ["steklov", *point, "--alpha", repr(value), "--kmax", "3"],
+        "quant-bound": ["quant-bound", *point, "--alpha", repr(value)],
+        "curve": ["curve", *point, "--lambda-min", repr(value), "--lambda-max", repr(other),
+                  "--points", "3"],
+    }[command]
+    assert run_in_process(*argv)[0] in (0, 1, 2, 3)
+
+
+def test_cli_imports_no_click() -> None:
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, extrobin.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout == "[]\n"

@@ -1,7 +1,5 @@
-"""Ellipsoid and square counterexamples: curvatures, the criterion gap and
-its thresholds, and quadratic-truncation comparisons."""
-
-import math
+"""Ellipsoid and square counterexamples: the largest mean curvature, the
+criterion gap and its thresholds, and quadratic-truncation comparisons."""
 
 import mpmath
 import pytest
@@ -12,9 +10,7 @@ from extrobin import (
     DomainError,
     EllipsoidSpec,
     alpha_star,
-    asymptotic_lambda,
     compare_ellipsoid_ball,
-    ellipsoid_curvatures,
     ellipsoid_hmax,
     equivalent_ball_radius,
     hynak_check,
@@ -27,21 +23,6 @@ from tests.conftest import rel_err
 mpmath.mp.dps = 40
 
 
-def fd_curvatures(a: float, x: float, h: float = 1e-4) -> tuple[float, float]:
-    """Finite-difference curvature oracle for the revolution profile
-    rho(x) = sqrt(1 - a^2 x^2)."""
-
-    def rho(t: float) -> float:
-        return math.sqrt(max(0.0, 1.0 - a * a * t * t))
-
-    d1 = (rho(x + h) - rho(x - h)) / (2.0 * h)
-    d2 = (rho(x + h) - 2.0 * rho(x) + rho(x - h)) / (h * h)
-    w = 1.0 + d1 * d1
-    kappa_parallel = 1.0 / (rho(x) * math.sqrt(w))
-    kappa_meridian = -d2 / w**1.5
-    return (kappa_parallel, kappa_meridian)
-
-
 def test_spec_validation() -> None:
     with pytest.raises(DomainError):
         EllipsoidSpec(n=2, a=0.5)
@@ -51,29 +32,6 @@ def test_spec_validation() -> None:
         EllipsoidSpec(n=3, a=1.0)
     with pytest.raises(DomainError):
         EllipsoidSpec(n=3, a=1.2)
-
-
-def test_curvature_landmarks() -> None:
-    spec = EllipsoidSpec(n=3, a=0.5)
-    # Equator: unit circle cross-section and flattened meridian.
-    k1, k2 = ellipsoid_curvatures(spec, 0.0)
-    assert k1 == 1.0 and k2 == 0.25
-    # Poles are umbilic with curvature 1/a.
-    k1, k2 = ellipsoid_curvatures(spec, 2.0)
-    assert rel_err(k1, 2.0) <= 1e-12 and rel_err(k2, 2.0) <= 1e-12
-    with pytest.raises(DomainError):
-        ellipsoid_curvatures(spec, 2.1)
-
-
-def test_curvatures_against_finite_differences() -> None:
-    for a in (0.2, 0.5, 0.9):
-        spec = EllipsoidSpec(n=3, a=a)
-        for frac in (0.0, 0.2, 0.5, 0.8):
-            x = frac / a
-            k1, k2 = ellipsoid_curvatures(spec, x)
-            f1, f2 = fd_curvatures(a, x)
-            assert abs(k1 - f1) <= 1e-6
-            assert abs(k2 - f2) <= 1e-6
 
 
 def test_hmax() -> None:
@@ -94,9 +52,9 @@ def test_hmax() -> None:
 def test_asymptotic_model() -> None:
     model = AsymptoticModel(n=3, h_max=-1.0)
     # -alpha^2 + (n-1) h_max alpha = -100 + 2*(-1)*(-10) = -80.
-    assert asymptotic_lambda(model, -10.0) == -80.0
+    assert model.evaluate(-10.0) == -80.0
     with pytest.raises(DomainError):
-        asymptotic_lambda(model, 0.0)
+        model.evaluate(0.0)
     with pytest.raises(DomainError):
         model.evaluate(1.0)
 
@@ -144,7 +102,7 @@ def test_truncation_defect_n3() -> None:
         model = AsymptoticModel(n=3, h_max=-1.0 / R)
         for alpha in (-10.0, -100.0, -300.0):
             lam = solve_lambda(BallGeometry(3, R), alpha * 1.0).lam
-            defect = lam - asymptotic_lambda(model, alpha)
+            defect = lam - model.evaluate(alpha)
             assert abs(defect + 1.0 / (R * R)) <= 1e-9 * max(1.0, abs(lam))
 
 

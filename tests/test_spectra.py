@@ -20,7 +20,6 @@ from extrobin import (
     harmonic_steklov,
     modified_bessel_K,
     multiplicity,
-    normalized_boundary_sq,
     shifted_steklov,
     solution_from_lambda,
     solve_lambda,
@@ -218,12 +217,6 @@ def test_count_discrete() -> None:
     assert count_discrete(geom, -2.5, with_multiplicity=False) == 2
     with pytest.raises(DomainError):
         count_discrete(BallGeometry(2, 1.0), -3.0)
-
-
-def test_normalization_scaling(ref_solution) -> None:
-    base = normalized_boundary_sq(ref_solution)
-    assert rel_err(base, ref_solution.u_boundary_sq) == 0.0
-    assert rel_err(normalized_boundary_sq(ref_solution, norm=2.0), 4.0 * base) <= 1e-15
 
 
 def test_normalization_against_closed_tail(solution_pool) -> None:

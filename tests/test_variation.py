@@ -17,7 +17,6 @@ from extrobin import (
     PerturbationSpectrum,
     certify_negativity,
     first_variation,
-    first_variation_integrand,
     mode_coefficient,
     quant_bound,
     quant_ratio_check,
@@ -41,18 +40,6 @@ def test_first_variation(ref_solution) -> None:
     assert rel_err(first_variation(ref_solution, 1.0), -1.0 / math.pi) <= 1e-12
     assert first_variation(ref_solution, 0.0) == 0.0
     assert rel_err(first_variation(ref_solution, -2.0), 2.0 / math.pi) <= 1e-12
-
-
-def test_first_variation_integrand(ref_solution) -> None:
-    sol = ref_solution
-    u_sq = sol.u_boundary_sq
-    # Ball data: grad = alpha^2 u^2 and H_ext = -1/R collapse to K u^2.
-    val = first_variation_integrand(
-        sol.alpha**2 * u_sq, u_sq, -1.0, alpha=sol.alpha, lam=sol.lam, n=3
-    )
-    assert rel_err(val, sol.K_const * u_sq) <= 1e-12
-    assert first_variation_integrand(0.7, 0.0, -1.0, alpha=-3.0, lam=-4.0, n=3) == -0.7
-    assert first_variation_integrand(0.7, 0.2, -0.5, alpha=0.0, lam=-4.0, n=3) == -(0.7 - (-4.0) * 0.2)
 
 
 def test_mode_coefficient_reference(ref_solution) -> None:
