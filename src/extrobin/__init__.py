@@ -5,10 +5,10 @@ essential spectrum exactly when the coupling is subcritical; this package
 computes it through the modified-Bessel dispersion relation, derives the
 attached Steklov spectra and shape variations at the ball, certifies the
 sign and ratio inequalities behind local maximality on deterministic
-grids, and evaluates two asymptotic comparisons: a flattened ellipsoid
-against the equal-volume ball, which rules out global maximality for
-n >= 3, and the square against the disk, which illustrates the planar
-theorem that the disk wins.
+grids, and evaluates two asymptotic comparisons: an elongated (prolate)
+ellipsoid against the equal-volume ball, which rules out global
+maximality for n >= 3, and the square against the disk, which
+illustrates the planar theorem that the disk wins.
 """
 
 from .bessel import (

@@ -26,9 +26,10 @@ Algorithms
   for half-integer orders), so Wronskian tests against K stay independent.
 * f_n: the two-step recurrence f_{n+2} = z^2/f_n + n, evaluated in the
   shifted variable g_n = f_n - z - (n-1)/2 to avoid large-z cancellation.
-* a_n: the equivalent recurrence a_{n+2} = -(z/f_n)^2 a_n - n, seeded with
-  the exact a_3 = -1, which preserves absolute accuracy where the direct
-  quadratic expression would cancel catastrophically.
+* a_n: the equivalent recurrence a_{n+2} = -(z/f_n)^2 a_n - n, folded over
+  the same g ladder and seeded with the exact a_3 = -1, which preserves
+  absolute accuracy where the direct quadratic expression would cancel
+  catastrophically.
 
 Two-sided ratio bounds (J. Segura, J. Math. Anal. Appl. 374 (2011) 516)
 provide guaranteed root brackets for f_n(z) = y; see segura_bracket.
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, RangeLimitError, SolverConvergenceError
+from .errors import DomainError, RangeLimitError, SolverConvergenceError, require_int
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -61,10 +62,7 @@ class BesselOrder:
     twice_order: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.twice_order, int) or isinstance(self.twice_order, bool):
-            raise DomainError("twice_order must be an integer")
-        if self.twice_order < 0:
-            raise DomainError("twice_order must be non-negative")
+        require_int(self.twice_order, "twice_order", 0)
 
     @property
     def order(self) -> float:
@@ -320,14 +318,6 @@ def modified_bessel_I(order: BesselOrder, z: float, scaled: bool = False) -> Sca
     return ScaledValue(value, False)
 
 
-def _check_dimension(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"dimension must be an integer, got {n!r}")
-    if n < 2:
-        raise DomainError(f"dimension must be >= 2, got {n}")
-    return n
-
-
 def _g2(z: float) -> float:
     """g_2 = f_2(z) - z - 1/2 at full relative precision."""
     if z >= 2.0:
@@ -362,7 +352,7 @@ def _g_ladder(n: int, z: float) -> list[float]:
 
 def ratio_f(n: int, z: float) -> float:
     """f_n(z) = z K_{n/2}(z) / K_{(n-2)/2}(z), strictly increasing, range (n-2, inf)."""
-    n = _check_dimension(n)
+    n = require_int(n, "dimension", 2)
     z = _check_positive_z(z)
     g = _g_ladder(n, z)[-1]
     return z + 0.5 * (n - 1.0) + g
@@ -373,25 +363,20 @@ def gap_a(n: int, z: float) -> float:
 
     Negative everywhere; bounded below by -(n-2) for n >= 3 and by -1/2
     for n = 2. Evaluated through the cancellation-free chain
-    a_{m+2} = -(z/f_m)^2 a_m - m.
+    a_{m+2} = -(z/f_m)^2 a_m - m along the g ladder, seeded with
+    a_m = g_m^2 + 2 z g_m - ((m-1)/2)^2, which is exactly -1 at m = 3.
     """
-    n = _check_dimension(n)
+    n = require_int(n, "dimension", 2)
     z = _check_positive_z(z)
-    if n % 2 == 0:
-        m = 2
-        g2 = _g2(z)
-        a = 2.0 * z * g2 + g2 * g2 - 0.25
-        g = g2
-    else:
-        m = 3
-        a = -1.0
-        g = 0.0
-    while m < n:
+    gs = _g_ladder(n, z)
+    m = n - 2 * (len(gs) - 1)
+    half = 0.5 * (m - 1.0)
+    g = gs[0]
+    a = 2.0 * z * g + g * g - half * half
+    for g in gs[:-1]:
         half = 0.5 * (m - 1.0)
-        f = z + half + g
-        r = z / f
+        r = z / (z + half + g)
         a = -(r * r) * a - m
-        g = half - z * (g + half) / f
         m += 2
     return a
 
@@ -404,7 +389,7 @@ def segura_bracket(n: int, y: float) -> tuple[float, float]:
     inverting the upper bound at y gives z_lo with f_n(z_lo) <= y, inverting
     the lower bound gives z_hi with f_n(z_hi) >= y.
     """
-    n = _check_dimension(n)
+    n = require_int(n, "dimension", 2)
     y = float(y)
     if not y > n - 2 or math.isinf(y) or math.isnan(y):
         raise DomainError(

@@ -263,7 +263,7 @@ def cmd_quant_bound(n: int, radius: float, alpha: float, spectrum: str | None, k
 
 
 def cmd_counterexample_ellipsoid(n: int, aspect: float, alpha: float, fmt: str, out: str | None) -> None:
-    """Quadratic truncations: flattened ellipsoid against the equal-volume ball."""
+    """Quadratic truncations: elongated (prolate) ellipsoid against the equal-volume ball."""
     spec = EllipsoidSpec(n=n, a=aspect)
     comp = compare_ellipsoid_ball(spec, alpha)
     check = hynak_check(n, aspect)

@@ -7,10 +7,11 @@ Robin eigenvalue of a smooth convex body expands as
 
 where ``H_max`` is the largest mean curvature of the boundary with respect
 to the outward normal of the exterior domain (so ``H_max = -1/R`` for a
-ball of radius ``R``).  Comparing the quadratic truncations of a flattened
-ellipsoid and of the ball of equal volume shows the ball is not the global
-maximiser: for aspect ratios below an explicit threshold the ellipsoid's
-truncation exceeds the ball's for every sufficiently strong coupling.
+ball of radius ``R``).  Comparing the quadratic truncations of an elongated
+(prolate) ellipsoid and of the ball of equal volume shows the ball is not
+the global maximiser: for aspect ratios below an explicit threshold the
+ellipsoid's truncation exceeds the ball's for every sufficiently strong
+coupling.
 
 The planar companion compares the square (flat sides, ``H_max = 0``) with
 the unit disk at the same truncation order.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SolverConvergenceError
+from .errors import DomainError, SolverConvergenceError, require_int
 
 _THRESHOLD_SCAN_POINTS = 2048
 _THRESHOLD_WIDTH = 1e-10
@@ -29,7 +30,7 @@ _THRESHOLD_WIDTH = 1e-10
 
 @dataclass(frozen=True)
 class EllipsoidSpec:
-    """Axis-flattened ellipsoid: unit semi-axes except the last one, ``1/a``.
+    """Elongated (prolate) ellipsoid: unit semi-axes except the last one, ``1/a > 1``.
 
     The surface is ``x_1^2 + ... + x_{n-1}^2 + a^2 x_n^2 = 1`` with aspect
     parameter ``a`` strictly between 0 and 1, so the body is elongated
@@ -40,10 +41,7 @@ class EllipsoidSpec:
     a: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 3:
-            raise DomainError(
-                f"ellipsoid comparison requires integer dimension >= 3, got {self.n!r}"
-            )
+        require_int(self.n, "ellipsoid dimension", 3)
         if not (isinstance(self.a, float) and math.isfinite(self.a)):
             raise DomainError(f"aspect parameter must be a finite float, got {self.a!r}")
         if not 0.0 < self.a < 1.0:
@@ -60,8 +58,7 @@ class AsymptoticModel:
     h_max: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise DomainError(f"dimension must be an integer >= 2, got {self.n!r}")
+        require_int(self.n, "dimension", 2)
         if not math.isfinite(self.h_max):
             raise DomainError(f"h_max must be finite, got {self.h_max}")
 
@@ -143,8 +140,7 @@ def hynak_threshold(n: int) -> float:
     zero, and returns to zero from below at ``a = 1``.  The zero is
     bracketed on a scan grid and bisected to width 1e-10.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        raise DomainError(f"threshold requires integer dimension >= 3, got {n!r}")
+    require_int(n, "threshold dimension", 3)
     lo = None
     hi = None
     prev_a = 1.0 / _THRESHOLD_SCAN_POINTS

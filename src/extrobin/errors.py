@@ -49,3 +49,13 @@ class DegenerateSpectrumError(ExtrobinError, ValueError):
 
 class GridFileError(ExtrobinError, ValueError):
     """A grid or spectrum file could not be parsed or validated."""
+
+
+def require_int(value, name: str, minimum: int) -> int:
+    """``value`` unchanged if it is an integer ``>= minimum``; else ``DomainError``.
+
+    ``bool`` is rejected although it subclasses ``int``.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value

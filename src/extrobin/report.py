@@ -168,7 +168,7 @@ class VerificationReport:
         }
 
 
-def _as_tuple_of(value, kind, key: str, cast=None):
+def _as_tuple_of(value, kind, key: str):
     if not isinstance(value, list) or not value:
         raise GridFileError(f"grid file: {key!r} must be a non-empty list")
     out = []

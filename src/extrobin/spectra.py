@@ -36,6 +36,7 @@ from .errors import (
     NoDiscreteEigenvalueError,
     RangeLimitError,
     SolverConvergenceError,
+    require_int,
 )
 
 # Supported window for z = R*sqrt(-lambda).  Below Z_MIN the dispersion
@@ -59,10 +60,7 @@ class BallGeometry:
     R: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise DomainError(f"dimension must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise DomainError(f"dimension must be >= 2, got {self.n}")
+        require_int(self.n, "dimension", 2)
         if not math.isfinite(self.R) or self.R <= 0.0:
             raise DomainError(f"radius must be positive and finite, got {self.R}")
 
@@ -76,20 +74,31 @@ class BallGeometry:
 class SpectralSolution:
     """Solved principal eigenvalue together with its derived quantities.
 
-    Fields satisfy ``z = R*sqrt(-lam)``, ``y = -alpha*R``,
-    ``a_val = gap_a(n, z)``, ``K_const = a_val / R**2`` which equals
-    ``alpha**2 + alpha*(n-1)/R + lam``, and ``u_boundary_sq`` is the square
-    of the eigenfunction at the boundary under unit L2 norm.
+    Stored: the geometry, ``alpha``, the root ``z = R*sqrt(-lam)`` of the
+    dispersion relation, ``a_val = gap_a(n, z)``, and ``u_boundary_sq``, the
+    square of the eigenfunction at the boundary under unit L2 norm.
+    Derived from those: ``lam = -(z/R)**2``, ``y = -alpha*R`` and
+    ``K_const = a_val / R**2``, which equals ``alpha**2 + alpha*(n-1)/R + lam``.
     """
 
     geom: BallGeometry
     alpha: float
-    lam: float
     z: float
-    y: float
-    K_const: float
     a_val: float
     u_boundary_sq: float
+
+    @property
+    def lam(self) -> float:
+        return -((self.z / self.geom.R) ** 2)
+
+    @property
+    def y(self) -> float:
+        return -self.alpha * self.geom.R
+
+    @property
+    def K_const(self) -> float:
+        R = self.geom.R
+        return self.a_val / (R * R)
 
     def __post_init__(self) -> None:
         if not (self.lam < 0.0 and self.z > 0.0 and self.y > 0.0):
@@ -127,10 +136,8 @@ def multiplicity(n: int, k: int) -> int:
     Equals C(n+k-1, n-1) - C(n+k-3, n-1); in particular 1 for ``k = 0``
     and ``n`` for ``k = 1``.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"harmonic degree must be an integer >= 0, got {k!r}")
+    require_int(n, "dimension", 2)
+    require_int(k, "harmonic degree", 0)
     lower = math.comb(n + k - 3, n - 1) if n + k - 3 >= 0 else 0
     return math.comb(n + k - 1, n - 1) - lower
 
@@ -235,18 +242,20 @@ def _solve_z(n: int, y: float) -> float:
 
 def _solution_from_z(geom: BallGeometry, alpha: float, z: float) -> SpectralSolution:
     n, R = geom.n, geom.R
-    lam = -((z / R) ** 2)
-    a_val = gap_a(n, z)
-    return SpectralSolution(
-        geom=geom,
-        alpha=alpha,
-        lam=lam,
-        z=z,
-        y=-alpha * R,
-        K_const=a_val / (R * R),
-        a_val=a_val,
-        u_boundary_sq=_boundary_sq(n, R, z),
-    )
+    try:
+        return SpectralSolution(
+            geom=geom,
+            alpha=alpha,
+            z=z,
+            a_val=gap_a(n, z),
+            u_boundary_sq=_boundary_sq(n, R, z),
+        )
+    except (OverflowError, ZeroDivisionError) as exc:
+        # (z/R)**2, R**n or the sphere area's gamma leaves the double range.
+        raise RangeLimitError(
+            f"solution at n = {n}, R = {R:g}, z = {z:.6g} leaves the double "
+            f"range ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def solve_lambda(geom: BallGeometry, alpha: float) -> SpectralSolution:
@@ -331,12 +340,10 @@ def shifted_steklov(sol: SpectralSolution, k_max: int) -> list[SteklovLevel]:
     fully accurate.  Levels are strictly increasing in ``k`` and each
     carries the degree-``k`` harmonic multiplicity.
     """
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
-        raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
+    require_int(k_max, "k_max", 0)
     n, R = sol.geom.n, sol.geom.R
     gs = _g_ladder(n + 2 * k_max, sol.z)
-    seed = 2 if n % 2 == 0 else 3
-    base = (n - seed) // 2
+    base = len(gs) - 1 - k_max
     g_n = gs[base]
     return [
         SteklovLevel(k=k, mu=(gs[base + k] - g_n) / R, dim=multiplicity(n, k))
@@ -354,8 +361,7 @@ def harmonic_steklov(geom: BallGeometry, l_max: int) -> list[SteklovLevel]:
     """
     if geom.n < 3:
         raise DomainError("harmonic Steklov spectrum requires n >= 3")
-    if not isinstance(l_max, int) or isinstance(l_max, bool) or l_max < 0:
-        raise DomainError(f"l_max must be an integer >= 0, got {l_max!r}")
+    require_int(l_max, "l_max", 0)
     return [
         SteklovLevel(k=l, mu=(geom.n - 2 + l) / geom.R, dim=multiplicity(geom.n, l))
         for l in range(l_max + 1)

@@ -37,6 +37,7 @@ from .errors import (
     DomainError,
     MeasureConstraintError,
     RangeLimitError,
+    require_int,
 )
 from .report import (
     GridConfig,
@@ -44,7 +45,14 @@ from .report import (
     Violation,
     default_certify_grids,
 )
-from .spectra import BallGeometry, SpectralSolution, multiplicity, shifted_steklov, solve_lambda
+from .spectra import (
+    BallGeometry,
+    SpectralSolution,
+    SteklovLevel,
+    multiplicity,
+    shifted_steklov,
+    solve_lambda,
+)
 
 _K_MAX_DEFAULT = 64
 
@@ -67,21 +75,16 @@ class PerturbationSpectrum:
     k_max: int = _K_MAX_DEFAULT
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k_max, int) or isinstance(self.k_max, bool):
-            raise DomainError("k_max must be an integer")
-        if self.k_max < 0:
-            raise DomainError(f"k_max must be >= 0, got {self.k_max}")
+        require_int(self.k_max, "k_max", 0)
         seen: set[tuple[int, int]] = set()
         for entry in self.entries:
             if len(entry) != 3:
                 raise DomainError(f"entries must be (k, i, b) triples, got {entry!r}")
             k, i, b = entry
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                raise DomainError(f"degree k must be an integer >= 0, got {k!r}")
+            require_int(k, "degree k", 0)
             if k > self.k_max:
                 raise DomainError(f"degree k = {k} exceeds k_max = {self.k_max}")
-            if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-                raise DomainError(f"index i must be an integer >= 0, got {i!r}")
+            require_int(i, "index i", 0)
             if not isinstance(b, float) or not math.isfinite(b):
                 raise DomainError(f"coefficient b must be a finite float, got {b!r}")
             if (k, i) in seen:
@@ -151,21 +154,20 @@ def first_variation(sol: SpectralSolution, v_dot: float) -> float:
     return sol.K_const * sol.u_boundary_sq * v_dot
 
 
-def _mode_coefficients(sol: SpectralSolution, k_max: int) -> list[float]:
-    """Mode coefficients ``L(k)`` for ``k = 1..k_max`` from one Steklov ladder."""
+def _mode_coefficients(sol: SpectralSolution, levels: list[SteklovLevel]) -> list[float]:
+    """Mode coefficients ``L(k)`` for ``k = 1..k_max``.
+
+    ``levels`` is the caller's ladder ``shifted_steklov(sol, k_max)``.
+    """
     n, R = sol.geom.n, sol.geom.R
     K = sol.K_const
     alpha = sol.alpha
-    levels = shifted_steklov(sol, k_max)
-    out = []
-    for k in range(1, k_max + 1):
-        mu = levels[k].mu
-        out.append(
-            2.0 * K * alpha
-            + (alpha / (R * R)) * (k * (n + k - 2) - (n - 1))
-            - 2.0 * K * K / mu
-        )
-    return out
+    return [
+        2.0 * K * alpha
+        + (alpha / (R * R)) * (level.k * (n + level.k - 2) - (n - 1))
+        - 2.0 * K * K / level.mu
+        for level in levels[1:]
+    ]
 
 
 def mode_coefficient(sol: SpectralSolution, k: int) -> float:
@@ -174,9 +176,8 @@ def mode_coefficient(sol: SpectralSolution, k: int) -> float:
     Defined for ``k >= 1``; the degree-zero mode changes volume and is not
     admissible.  ``L(1)`` vanishes analytically (translation invariance).
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"mode degree must be an integer >= 1, got {k!r}")
-    return _mode_coefficients(sol, k)[k - 1]
+    require_int(k, "mode degree", 1)
+    return _mode_coefficients(sol, shifted_steklov(sol, k))[k - 1]
 
 
 def _area_factor(n: int, k: int) -> float:
@@ -224,48 +225,40 @@ def second_variation(
                 "vanish (pass allow_pure_translation=True to evaluate the "
                 "translational null direction)"
             )
-        u_sq = sol.u_boundary_sq
-        K = sol.K_const
-        k_top = max(k for k, _i, _b in active)
-        levels = shifted_steklov(sol, k_top)
-        q_val = u_sq * K * K * sum(
-            b * b / levels[k].mu for k, _i, b in active
-        )
+    else:
+        for k, i, _b in active:
+            if k == 1:
+                raise BarycenterConstraintError(
+                    f"barycenter condition violated: coefficient of the "
+                    f"translation mode (k, i) = (1, {i}) must vanish"
+                )
+
+    u_sq = sol.u_boundary_sq
+    K = sol.K_const
+    levels = shifted_steklov(sol, max(k for k, _i, _b in active))
+    q_val = u_sq * K * K * sum(b * b / levels[k].mu for k, _i, b in active)
+    bound = sol.alpha * u_sq / (n + 1)
+    if degree_one_only:
         return VariationReport(
             lambda_ddot=0.0,
             S_ddot=0.0,
             Q_val=q_val,
             quant_ratio=0.0,
-            quant_bound=sol.alpha * u_sq / (n + 1),
+            quant_bound=bound,
             notes=(
                 "null mode: pure translation leaves both second variations "
                 "zero along the degree-one directions",
             ),
         )
-    for k, i, _b in active:
-        if k == 1:
-            raise BarycenterConstraintError(
-                f"barycenter condition violated: coefficient of the "
-                f"translation mode (k, i) = (1, {i}) must vanish"
-            )
-
-    u_sq = sol.u_boundary_sq
-    K = sol.K_const
-    k_top = max(k for k, _i, _b in active)
-    levels = shifted_steklov(sol, k_top)
-    coeffs = _mode_coefficients(sol, k_top)
+    coeffs = _mode_coefficients(sol, levels)
     lam_dd = 0.0
     s_dd = 0.0
-    q_val = 0.0
     for k, _i, b in active:
         b_sq = b * b
         lam_dd += coeffs[k - 1] * b_sq
         s_dd += _area_factor(n, k) * b_sq
-        q_val += b_sq / levels[k].mu
     lam_dd *= u_sq
     s_dd /= R * R
-    q_val *= u_sq * K * K
-    bound = sol.alpha * u_sq / (n + 1)
     ratio = lam_dd / s_dd if s_dd > 0.0 else 0.0
     return VariationReport(
         lambda_ddot=lam_dd,
@@ -343,7 +336,7 @@ def certify_negativity(grid: GridConfig | None = None) -> VerificationReport:
                         skipped += 1
                         continue
                     solved += 1
-                    coeffs = _mode_coefficients(sol, k_hi)
+                    coeffs = _mode_coefficients(sol, shifted_steklov(sol, k_hi))
                     params = (
                         ("n", float(n)),
                         ("R", float(R)),

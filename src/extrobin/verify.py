@@ -486,7 +486,7 @@ def run_variation_suite(grid: GridConfig | None = None) -> VerificationReport:
         a = sol.a_val
         y = sol.y
         levels = shifted_steklov(sol, 12)
-        coeffs = _mode_coefficients(sol, 12)
+        coeffs = _mode_coefficients(sol, levels)
         for k in range(2, 13):
             mu = levels[k].mu
             lhs = R**4 * mu * coeffs[k - 1]

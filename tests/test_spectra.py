@@ -6,12 +6,13 @@ import random
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extrobin import (
     BallGeometry,
     BesselOrder,
     DomainError,
+    ExtrobinError,
     NoDiscreteEigenvalueError,
     RangeLimitError,
     alpha_of_lambda,
@@ -101,6 +102,30 @@ def test_range_limits() -> None:
         solve_lambda(BallGeometry(3, 1.0), -800.0)
     with pytest.raises(RangeLimitError):
         solve_lambda(BallGeometry(2, 1.0), -1e-12)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 400),
+    R=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    value=_FINITE,
+    inverse=st.booleans(),
+)
+@example(n=3, R=1e-200, value=-1e201, inverse=False)
+@example(n=3, R=1e200, value=-5e-200, inverse=False)
+@example(n=3, R=1e-120, value=-3e120, inverse=False)
+@example(n=400, R=1.0, value=-100.0, inverse=True)
+def test_extreme_inputs_raise_only_typed_errors(n, R, value, inverse) -> None:
+    # Overflow in (z/R)**2, R**n or the sphere area must surface as an
+    # ExtrobinError, in both solve directions.
+    solve = solution_from_lambda if inverse else solve_lambda
+    try:
+        solve(BallGeometry(n, R), value)
+    except ExtrobinError:
+        pass
 
 
 def test_n2_spot_solution() -> None:

@@ -153,6 +153,28 @@ def test_decomposition_identity(seed: int) -> None:
     assert rep.Q_val > 0.0
 
 
+def test_one_steklov_ladder_per_call(ref_solution, monkeypatch) -> None:
+    import extrobin.variation as variation
+
+    calls = []
+
+    def counting(sol, k_max):
+        calls.append(k_max)
+        return shifted_steklov(sol, k_max)
+
+    monkeypatch.setattr(variation, "shifted_steklov", counting)
+    second_variation(ref_solution, PerturbationSpectrum(entries=((2, 0, 1.0), (5, 1, 0.3))))
+    assert calls == [5]
+    calls.clear()
+    second_variation(
+        ref_solution, PerturbationSpectrum(entries=((1, 0, 1.0),)), allow_pure_translation=True
+    )
+    assert calls == [1]
+    calls.clear()
+    mode_coefficient(ref_solution, 4)
+    assert calls == [4]
+
+
 def test_quant_bound_values(ref_solution) -> None:
     bound = quant_bound(ref_solution)
     assert rel_err(bound.deficit_constant, 3.0 / (4.0 * math.pi)) <= 1e-12
