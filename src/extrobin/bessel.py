@@ -364,7 +364,8 @@ def gap_a(n: int, z: float) -> float:
     Negative everywhere; bounded below by -(n-2) for n >= 3 and by -1/2
     for n = 2. Evaluated through the cancellation-free chain
     a_{m+2} = -(z/f_m)^2 a_m - m along the g ladder, seeded with
-    a_m = g_m^2 + 2 z g_m - ((m-1)/2)^2, which is exactly -1 at m = 3.
+    a_m = g_m^2 + 2 z g_m - ((m-1)/2)^2, which is exactly -1 at m = 3, so
+    a_3 = -1 exactly with no step taken.
     """
     n = require_int(n, "dimension", 2)
     z = _check_positive_z(z)

@@ -168,6 +168,54 @@ class VerificationReport:
         }
 
 
+class _Recorder:
+    """Accumulates check counts, violations, and named extremal metrics.
+
+    A metric appears in the report only once some value above ``-inf`` has
+    been tracked for it.
+    """
+
+    def __init__(self) -> None:
+        self.checks = 0
+        self.violations: list[Violation] = []
+        self._metrics: dict[str, float] = {}
+
+    def check(
+        self,
+        ok: bool,
+        check_id: str,
+        params: tuple[tuple[str, float], ...],
+        lhs: float,
+        rhs: float,
+        margin: float,
+    ) -> None:
+        self.checks += 1
+        if not ok:
+            self.violations.append(
+                Violation(
+                    check_id=check_id,
+                    params=params,
+                    lhs=float(lhs),
+                    rhs=float(rhs),
+                    margin=float(margin),
+                )
+            )
+
+    def track_max(self, name: str, value: float) -> None:
+        prev = self._metrics.get(name, -math.inf)
+        if value > prev:
+            self._metrics[name] = value
+
+    def report(self, suite: str, grid_summary: str) -> VerificationReport:
+        return VerificationReport(
+            suite=suite,
+            grid_summary=grid_summary,
+            checks_run=self.checks,
+            violations=tuple(self.violations),
+            metrics=tuple(sorted(self._metrics.items())),
+        )
+
+
 def _as_tuple_of(value, kind, key: str):
     if not isinstance(value, list) or not value:
         raise GridFileError(f"grid file: {key!r} must be a non-empty list")

@@ -79,6 +79,8 @@ class SpectralSolution:
     square of the eigenfunction at the boundary under unit L2 norm.
     Derived from those: ``lam = -(z/R)**2``, ``y = -alpha*R`` and
     ``K_const = a_val / R**2``, which equals ``alpha**2 + alpha*(n-1)/R + lam``.
+    Construction raises ``DomainError`` unless ``lam < 0``, ``K_const < 0`` and
+    ``u_boundary_sq > 0``, so every solution has that sign structure.
     """
 
     geom: BallGeometry
@@ -336,9 +338,9 @@ def shifted_steklov(sol: SpectralSolution, k_max: int) -> list[SteklovLevel]:
     shifted by the principal Robin value ``-alpha = y/R`` so that
     ``mu_0 = 0``.  In the gap variables ``g_m = ratio_f(m, z) - z - (m-1)/2``
     the degree term cancels algebraically, ``mu_k = (g_{n+2k} - g_n)/R``,
-    which makes the ``k = 0`` level exactly zero and keeps large levels
-    fully accurate.  Levels are strictly increasing in ``k`` and each
-    carries the degree-``k`` harmonic multiplicity.
+    which makes the ``k = 0`` level ``(g_n - g_n)/R``, exactly zero, and
+    keeps large levels fully accurate.  Levels are strictly increasing in
+    ``k`` and each carries ``multiplicity(n, k)``.
     """
     require_int(k_max, "k_max", 0)
     n, R = sol.geom.n, sol.geom.R

@@ -39,12 +39,7 @@ from .errors import (
     RangeLimitError,
     require_int,
 )
-from .report import (
-    GridConfig,
-    VerificationReport,
-    Violation,
-    default_certify_grids,
-)
+from .report import GridConfig, VerificationReport, _Recorder, default_certify_grids
 from .spectra import (
     BallGeometry,
     SpectralSolution,
@@ -66,9 +61,12 @@ class PerturbationSpectrum:
     """Spherical-harmonic coefficients ``b_{k,i}`` of a normal perturbation.
 
     ``entries`` holds ``(k, i, b)`` triples with distinct ``(k, i)`` pairs,
-    ``0 <= k <= k_max`` and ``i >= 0``.  Index admissibility against the
-    degree multiplicity depends on the dimension and is checked by
-    ``validate_for``.
+    ``0 <= k <= k_max`` and ``i >= 0``.  The harmonics ``Y_{k,i}`` are
+    orthonormal in ``L^2`` of the sphere of radius ``R`` (not of the unit
+    sphere), which is what makes the area variation
+    ``S_ddot = sum (k(n+k-2) - (n-1)) b_{k,i}^2 / R^2``.  Index
+    admissibility against the degree multiplicity depends on the dimension
+    and is checked by ``validate_for``.
     """
 
     entries: tuple[tuple[int, int, float], ...]
@@ -181,7 +179,10 @@ def mode_coefficient(sol: SpectralSolution, k: int) -> float:
 
 
 def _area_factor(n: int, k: int) -> float:
-    """Surface-area quadratic form factor ``k(n+k-2) - (n-1)``; positive for k >= 2."""
+    """Surface-area quadratic form factor ``k(n+k-2) - (n-1) = (k-1)(k+n-1)``.
+
+    Positive for every ``k >= 2``, zero for the translation degree ``k = 1``.
+    """
     return float(k * (n + k - 2) - (n - 1))
 
 
@@ -276,7 +277,8 @@ def quant_bound(sol: SpectralSolution) -> QuantBound:
     Every admissible perturbation satisfies
     ``lambda_ddot / S_ddot <= ratio_bound``, equivalently
     ``lambda_ddot <= -deficit_constant * S_ddot`` with
-    ``deficit_constant > 0``.
+    ``deficit_constant = -alpha*u(R)^2/(n+1) > 0``: ``alpha < 0`` and
+    ``u(R)^2 > 0`` hold for every ``SpectralSolution``.
     """
     ratio_bound = sol.alpha * sol.u_boundary_sq / (sol.geom.n + 1)
     return QuantBound(ratio_bound=ratio_bound, deficit_constant=-ratio_bound)
@@ -315,15 +317,17 @@ def certify_negativity(grid: GridConfig | None = None) -> VerificationReport:
     negativity of ``L(k)`` over the configured degree range, plus vanishing
     of the translation mode ``L(1)`` to within rounding of its natural
     scale.  Grid points whose eigenvalue leaves the supported z window are
-    skipped and counted in the summary, not failed.
+    skipped and counted in the summary and in ``skipped_points``, not
+    failed; ``max_mode_coefficient_k_ge_2`` is omitted when no point is
+    solved.
     """
     grids = default_certify_grids() if grid is None else (grid,)
-    checks = 0
+    rec = _Recorder()
+    # The translation residual is a maximum of non-negative values, 0 when
+    # no point is solved.
+    rec.track_max("max_translation_residual_rel", 0.0)
     skipped = 0
     solved = 0
-    violations: list[Violation] = []
-    worst_l = -math.inf
-    worst_l1 = 0.0
     for cfg in grids:
         k_lo, k_hi = cfg.k_range
         for n in cfg.dims:
@@ -344,48 +348,33 @@ def certify_negativity(grid: GridConfig | None = None) -> VerificationReport:
                     )
                     # L(1) = 2K*alpha - 2K^2/mu_1 cancels two terms of size
                     # |2K*alpha|; that sets the rounding scale.
-                    scale = 4.0 * abs(sol.K_const * alpha)
-                    checks += 1
-                    l1_rel = abs(coeffs[0]) / scale
-                    worst_l1 = max(worst_l1, l1_rel)
-                    if l1_rel > _TRANSLATION_REL_TOL:
-                        violations.append(
-                            Violation(
-                                check_id="translation-mode-vanishes",
-                                params=params + (("k", 1.0),),
-                                lhs=coeffs[0],
-                                rhs=0.0,
-                                margin=l1_rel - _TRANSLATION_REL_TOL,
-                            )
-                        )
+                    l1_rel = abs(coeffs[0]) / (4.0 * abs(sol.K_const * alpha))
+                    rec.check(
+                        l1_rel <= _TRANSLATION_REL_TOL,
+                        "translation-mode-vanishes",
+                        params + (("k", 1.0),),
+                        coeffs[0],
+                        0.0,
+                        l1_rel - _TRANSLATION_REL_TOL,
+                    )
+                    rec.track_max("max_translation_residual_rel", l1_rel)
                     for k in range(k_lo, k_hi + 1):
-                        checks += 1
                         lk = coeffs[k - 1]
-                        worst_l = max(worst_l, lk)
-                        if not (lk < 0.0):
-                            violations.append(
-                                Violation(
-                                    check_id="mode-coefficient-negative",
-                                    params=params + (("k", float(k)),),
-                                    lhs=lk,
-                                    rhs=0.0,
-                                    margin=lk,
-                                )
-                            )
+                        rec.check(
+                            lk < 0.0,
+                            "mode-coefficient-negative",
+                            params + (("k", float(k)),),
+                            lk,
+                            0.0,
+                            lk,
+                        )
+                    rec.track_max(
+                        "max_mode_coefficient_k_ge_2", max(coeffs[k_lo - 1 : k_hi])
+                    )
+    rec.track_max("skipped_points", float(skipped))
     summary = (
         f"{len(grids)} grid(s); {solved} solved points; degrees "
         f"{grids[0].k_range[0]}..{grids[0].k_range[1]}; "
         f"{skipped} skipped (outside z window)"
     )
-    metrics = (
-        ("max_mode_coefficient_k_ge_2", worst_l),
-        ("max_translation_residual_rel", worst_l1),
-        ("skipped_points", float(skipped)),
-    )
-    return VerificationReport(
-        suite="variation.negativity",
-        grid_summary=summary,
-        checks_run=checks,
-        violations=tuple(violations),
-        metrics=metrics,
-    )
+    return rec.report("variation.negativity", summary)

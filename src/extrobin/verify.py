@@ -4,6 +4,17 @@ Each suite walks a fixed or seeded-random grid, re-checks the inequalities
 and identities the package is built on, and returns a
 ``VerificationReport``.  All randomness is drawn from fixed seeds so a
 suite either always passes or always fails for a given build.
+
+A check here can fail: it compares a computed value against a bound, a
+reference value or a second code path.  Facts that hold by construction
+are stated where they are established and not re-checked: ``mu_0 = 0``
+(``shifted_steklov``), the signs ``lam < 0``, ``K < 0``, ``u(R)^2 > 0``
+(``SpectralSolution`` raises otherwise), Steklov multiplicities, and the
+positive area factor ``(k-1)(k+n-1)`` (``variation._area_factor``).  The
+recurrence ``f_{n+2} = z^2/f_n + n`` and the Macdonald-tail value of
+``u(R)^2`` are covered by the test suite against independent oracles.
+Every check, including those of ``certify_negativity``, is counted by
+``report._Recorder``.
 """
 
 from __future__ import annotations
@@ -15,14 +26,13 @@ from .bessel import (
     EULER_GAMMA, BesselOrder, gap_a, identity_residuals, modified_bessel_K, ratio_f, segura_bracket,
 )
 from .errors import DomainError
-from .report import GridConfig, VerificationReport, Violation
+from .report import GridConfig, VerificationReport, _Recorder
 from .spectra import (
     BallGeometry,
     SpectralSolution,
     alpha_of_lambda,
     alpha_star,
     count_discrete,
-    harmonic_steklov,
     multiplicity,
     shifted_steklov,
     solve_lambda,
@@ -38,53 +48,6 @@ from .variation import (
 
 _SEED = 20260816
 _BESSEL_DIMS = tuple(range(2, 13))
-
-
-class _Recorder:
-    """Accumulates check counts, violations, and named extremal metrics."""
-
-    def __init__(self) -> None:
-        self.checks = 0
-        self.violations: list[Violation] = []
-        self._metrics: dict[str, float] = {}
-
-    def check(
-        self,
-        ok: bool,
-        check_id: str,
-        params: tuple[tuple[str, float], ...],
-        lhs: float,
-        rhs: float,
-        margin: float,
-    ) -> None:
-        self.checks += 1
-        if not ok:
-            self.violations.append(
-                Violation(
-                    check_id=check_id,
-                    params=params,
-                    lhs=float(lhs),
-                    rhs=float(rhs),
-                    margin=float(margin),
-                )
-            )
-
-    def track_max(self, name: str, value: float) -> None:
-        prev = self._metrics.get(name, -math.inf)
-        if value > prev:
-            self._metrics[name] = value
-
-    def metrics(self) -> tuple[tuple[str, float], ...]:
-        return tuple(sorted(self._metrics.items()))
-
-    def report(self, suite: str, grid_summary: str) -> VerificationReport:
-        return VerificationReport(
-            suite=suite,
-            grid_summary=grid_summary,
-            checks_run=self.checks,
-            violations=tuple(self.violations),
-            metrics=self.metrics(),
-        )
 
 
 def _draw_solution(rng: random.Random) -> SpectralSolution:
@@ -118,13 +81,10 @@ def run_bessel_suite(grid: GridConfig | None = None) -> VerificationReport:
     dims = cfg.dims if grid is not None else _BESSEL_DIMS
     zs = cfg.z_values()
     rec = _Recorder()
-    f_cache: dict[int, list[float]] = {}
     for n in dims:
         prev_f = -math.inf
-        fs = []
         for z in zs:
             f = ratio_f(n, z)
-            fs.append(f)
             params = (("n", float(n)), ("z", z))
             rec.check(
                 f > n - 2,
@@ -175,16 +135,6 @@ def run_bessel_suite(grid: GridConfig | None = None) -> VerificationReport:
                 max(floor - a, a),
             )
             rec.track_max("max_gap_value", a)
-            if n == 3:
-                rec.check(
-                    abs(a + 1.0) <= 1e-12,
-                    "gap-constant-at-n3",
-                    params,
-                    a,
-                    -1.0,
-                    abs(a + 1.0) - 1e-12,
-                )
-        f_cache[n] = fs
 
         if n >= 3:
             f_small = ratio_f(n, 1e-8)
@@ -216,23 +166,6 @@ def run_bessel_suite(grid: GridConfig | None = None) -> VerificationReport:
             0.05,
             margin,
         )
-
-    # Two-step closure f_{n+2} = z^2 / f_n + n across cached dimensions.
-    for n in dims:
-        if n + 2 not in f_cache:
-            continue
-        for z, f_n, f_up in zip(zs, f_cache[n], f_cache[n + 2]):
-            composed = z * z / f_n + n
-            err = abs(f_up - composed) / f_up
-            rec.check(
-                err <= 1e-12,
-                "ratio-two-step-closure",
-                (("n", float(n)), ("z", z)),
-                f_up,
-                composed,
-                err - 1e-12,
-            )
-            rec.track_max("max_closure_rel_err", err)
 
     # External two-sided envelope for K_2/K_1 = ratio_f(4, z)/z.
     for z in zs:
@@ -335,14 +268,6 @@ def run_spectra_suite(grid: GridConfig | None = None) -> VerificationReport:
             rel - 1e-12,
         )
         rec.track_max("max_round_trip_rel_err", rel)
-        rec.check(
-            sol.lam < 0.0 and sol.K_const < 0.0 and sol.u_boundary_sq > 0.0,
-            "solution-sign-structure",
-            params,
-            sol.lam,
-            0.0,
-            max(sol.lam, sol.K_const, -sol.u_boundary_sq),
-        )
 
     # alpha_of_lambda is strictly increasing in lambda at fixed geometry.
     for n in (2, 3, 4, 5, 8):
@@ -400,14 +325,6 @@ def run_spectra_suite(grid: GridConfig | None = None) -> VerificationReport:
         sol = solve_lambda(BallGeometry(n, R), alpha)
         levels = shifted_steklov(sol, 20)
         params = (("n", float(n)), ("R", R), ("alpha", alpha))
-        rec.check(
-            levels[0].mu == 0.0,
-            "steklov-base-level-exact-zero",
-            params,
-            levels[0].mu,
-            0.0,
-            abs(levels[0].mu),
-        )
         for k in range(1, 21):
             rec.check(
                 levels[k].mu > levels[k - 1].mu,
@@ -416,14 +333,6 @@ def run_spectra_suite(grid: GridConfig | None = None) -> VerificationReport:
                 levels[k].mu,
                 levels[k - 1].mu,
                 levels[k - 1].mu - levels[k].mu,
-            )
-            rec.check(
-                levels[k].dim == multiplicity(n, k),
-                "steklov-multiplicity",
-                params + (("k", float(k)),),
-                float(levels[k].dim),
-                float(multiplicity(n, k)),
-                abs(levels[k].dim - multiplicity(n, k)),
             )
         mu1_ref = sol.K_const / sol.alpha
         rel = abs(levels[1].mu - mu1_ref) / mu1_ref
@@ -452,15 +361,6 @@ def run_spectra_suite(grid: GridConfig | None = None) -> VerificationReport:
                 float(got),
                 float(cumulative),
                 float(abs(got - cumulative)),
-            )
-            lvl = harmonic_steklov(geom, l)[l]
-            rec.check(
-                lvl.mu == (n - 2 + l) / R,
-                "harmonic-level-closed-form",
-                (("n", float(n)), ("R", R), ("l", float(l))),
-                lvl.mu,
-                (n - 2 + l) / R,
-                abs(lvl.mu - (n - 2 + l) / R),
             )
 
     summary = f"{draws} seeded draws; monotonicity ladders; Steklov levels k <= 20"
@@ -579,19 +479,6 @@ def run_variation_suite(grid: GridConfig | None = None) -> VerificationReport:
             err - tol,
         )
 
-    # Area form factor is positive for every admissible degree.
-    for n in range(2, 13):
-        for k in range(2, 41):
-            factor = float(k * (n + k - 2) - (n - 1))
-            rec.check(
-                factor > 0.0,
-                "area-factor-positive",
-                (("n", float(n)), ("k", float(k))),
-                factor,
-                0.0,
-                -factor,
-            )
-
     summary = f"negativity certificate ({certify.grid_summary}); 30 seeded solutions"
     return rec.report("variation.identities", summary)
 
@@ -630,18 +517,6 @@ def run_quant_suite(grid: GridConfig | None = None) -> VerificationReport:
         )
         worst_margin = min(worst_margin, qc.margin)
     rec.track_max("min_margin_observed", worst_margin)
-
-    for sol in sols:
-        qb = quant_bound(sol)
-        params = (("n", float(sol.geom.n)), ("R", sol.geom.R), ("alpha", sol.alpha))
-        rec.check(
-            qb.deficit_constant > 0.0 and qb.ratio_bound == -qb.deficit_constant,
-            "deficit-constant-positive",
-            params,
-            qb.deficit_constant,
-            0.0,
-            -qb.deficit_constant,
-        )
 
     sol = solve_lambda(BallGeometry(3, 1.0), -3.0)
     qb = quant_bound(sol)

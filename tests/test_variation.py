@@ -253,3 +253,14 @@ def test_certify_negativity_small_grid() -> None:
     metrics = dict(report.metrics)
     assert metrics["max_mode_coefficient_k_ge_2"] < 0.0
     assert metrics["max_translation_residual_rel"] <= 1e-9
+
+
+def test_certify_negativity_all_points_skipped() -> None:
+    # -1e-300 puts every planar point far outside the supported z window.
+    grid = GridConfig(dims=(2,), alpha_absolute=(-1e-300,), alpha_multipliers=None)
+    report = certify_negativity(grid)
+    assert report.status == "pass"
+    assert report.checks_run == 0
+    metrics = dict(report.metrics)
+    assert metrics["skipped_points"] == 3.0
+    assert all(math.isfinite(v) for v in metrics.values())

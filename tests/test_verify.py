@@ -1,11 +1,16 @@
-"""The verification suites must pass on their default grids and honor
-custom grid configurations."""
+"""The verification suites must pass on their default grids, honor custom
+grid configurations, and fail on planted faults."""
+
+from collections import Counter
 
 import pytest
 
+import extrobin.spectra
+import extrobin.verify
 from extrobin import (
     DomainError,
     GridConfig,
+    certify_negativity,
     run_bessel_suite,
     run_quant_suite,
     run_spectra_suite,
@@ -61,3 +66,40 @@ def test_run_suites_order_and_all() -> None:
     assert [r.suite for r in reports] == ["bessel.identities", "quant.ratio-bound"]
     with pytest.raises(DomainError):
         run_suites(("nonsense",), SMALL)
+
+
+def test_default_check_counts() -> None:
+    reports = run_suites(("all",))
+    assert {r.suite: r.checks_run for r in reports} == {
+        "bessel.identities": 11_090,
+        "spectra.roundtrip": 699,
+        "variation.identities": 4_725,
+        "quant.ratio-bound": 202,
+    }
+    assert sum(r.checks_run for r in reports) == 16_716
+    assert all(r.status == "pass" for r in reports)
+    assert certify_negativity().checks_run == 3_975
+
+
+def _perturbed(fn):
+    """``fn`` with a planted relative error of 1e-9."""
+    return lambda n, z: fn(n, z) * (1.0 + 1e-9)
+
+
+def _violation_counts(reports) -> Counter:
+    return Counter(v.check_id for r in reports for v in r.violations)
+
+
+def test_fault_in_ratio_is_caught(monkeypatch) -> None:
+    monkeypatch.setattr(extrobin.verify, "ratio_f", _perturbed(extrobin.verify.ratio_f))
+    counts = _violation_counts(run_suites(("bessel", "spectra")))
+    assert counts["dispersion-residual"] == 200
+    assert counts["ratio-large-z-window"] > 0
+
+
+def test_fault_in_gap_is_caught(monkeypatch) -> None:
+    # The solve stores a_val = gap_a(n, z), so K_const inherits the error.
+    monkeypatch.setattr(extrobin.spectra, "gap_a", _perturbed(extrobin.spectra.gap_a))
+    counts = _violation_counts(run_suites(("spectra", "quant")))
+    assert counts["steklov-first-level-identity"] > 0
+    assert counts["margin-reference-value"] > 0
