@@ -13,11 +13,7 @@ illustrates the planar theorem that the disk wins.
 
 from .bessel import (
     BesselOrder,
-    IdentityResiduals,
-    ScaledValue,
     gap_a,
-    identity_residuals,
-    modified_bessel_I,
     modified_bessel_K,
     ratio_f,
     segura_bracket,
@@ -105,14 +101,12 @@ __all__ = [
     "GridConfig",
     "GridFileError",
     "HynakResult",
-    "IdentityResiduals",
     "MeasureConstraintError",
     "NoDiscreteEigenvalueError",
     "PerturbationSpectrum",
     "QuantBound",
     "QuantCheck",
     "RangeLimitError",
-    "ScaledValue",
     "SolverConvergenceError",
     "SpectralSolution",
     "SteklovLevel",
@@ -134,9 +128,7 @@ __all__ = [
     "harmonic_steklov",
     "hynak_check",
     "hynak_threshold",
-    "identity_residuals",
     "mode_coefficient",
-    "modified_bessel_I",
     "modified_bessel_K",
     "multiplicity",
     "parse_grid_file",

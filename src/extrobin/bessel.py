@@ -1,8 +1,8 @@
 """Modified Bessel kernels and the ratio family behind the exterior dispersion relation.
 
-Double-precision evaluation of K_m and I_m for integer and half-integer
-orders m >= 0, with an exponentially scaled mode for large arguments, plus
-the ratio
+Double-precision evaluation of K_m for integer and half-integer orders
+m >= 0, with an exponentially scaled mode for large arguments, plus the
+ratio
 
     f_n(z) = z * K_{n/2}(z) / K_{(n-2)/2}(z),       n >= 2, z > 0,
 
@@ -21,9 +21,6 @@ Algorithms
   K_{3/2}(z) = K_{1/2}(z)(1 + 1/z), exact up to rounding.
 * Higher orders: upward three-term recurrence K_{m+1} = K_{m-1} + (2m/z)K_m,
   stable because K grows with the order.
-* I_m: Miller downward recurrence with a K-free normalization
-  (e^z = I_0 + 2 sum_k I_k for integer orders, the closed form of I_{1/2}
-  for half-integer orders), so Wronskian tests against K stay independent.
 * f_n: the two-step recurrence f_{n+2} = z^2/f_n + n, evaluated in the
   shifted variable g_n = f_n - z - (n-1)/2 to avoid large-z cancellation.
 * a_n: the equivalent recurrence a_{n+2} = -(z/f_n)^2 a_n - n, folded over
@@ -48,7 +45,7 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
-# Largest z for which e^{-z} K and e^{z} I stay inside normal doubles.
+# Largest z for which e^{-z} K stays inside normal doubles.
 UNSCALED_Z_MAX = 700.0
 
 _CF2_MAX_ITER = 10000
@@ -65,15 +62,13 @@ class BesselOrder:
         require_int(self.twice_order, "twice_order", 0)
 
     @property
-    def order(self) -> float:
-        return 0.5 * self.twice_order
-
-    @property
     def is_half_integer(self) -> bool:
         return self.twice_order % 2 == 1
 
     @classmethod
     def from_order(cls, value: float | int) -> "BesselOrder":
+        if not math.isfinite(value):
+            raise DomainError(f"order {value!r} is not finite")
         twice = round(2.0 * value)
         if abs(2.0 * value - twice) > 1e-12:
             raise DomainError(
@@ -84,31 +79,17 @@ class BesselOrder:
     @classmethod
     def parse(cls, text: str) -> "BesselOrder":
         """Accept '2', '1.5' or '3/2'."""
-        s = text.strip()
-        if "/" in s:
-            num, _, den = s.partition("/")
-            return cls.from_order(float(num) / float(den))
-        return cls.from_order(float(s))
+        num, slash, den = text.strip().partition("/")
+        try:
+            value = float(num) / float(den) if slash else float(num)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"order {text!r} is neither a number nor a fraction p/q") from None
+        return cls.from_order(value)
 
     def __str__(self) -> str:
         if self.is_half_integer:
             return f"{self.twice_order}/2"
         return str(self.twice_order // 2)
-
-
-@dataclass(frozen=True)
-class ScaledValue:
-    """A kernel value, possibly carried in exponentially scaled form.
-
-    For K the scaled value is e^z K_m(z); for I it is e^{-z} I_m(z).
-    Both kernels are strictly positive on z > 0, so mantissa > 0 always.
-    """
-
-    mantissa: float
-    scaled: bool
-
-    def __float__(self) -> float:
-        return self.mantissa
 
 
 def _k01_series(x: float) -> tuple[float, float]:
@@ -213,54 +194,6 @@ def _k_scaled(twice_order: int, z: float) -> float:
     return k_hi
 
 
-def _i_scaled_ladder(twice_order: int, z: float, start_extra: int) -> float:
-    """One Miller pass: e^{-z} I_m(z), normalization fixed by the start order."""
-    half = twice_order % 2 == 1
-    base = 1 if half else 0                      # twice the lowest order
-    top = twice_order + 2 * start_extra          # twice the start order
-    p_up = 0.0                                   # order (t+2)/2
-    p = 1e-250                                   # order t/2
-    target = 0.0
-    acc = 0.0                                    # integer case: sum of I_k, k >= 1
-    t = top
-    while t > base:
-        p_down = p_up + (t / z) * p              # 2 nu / z with nu = t/2
-        p_up, p = p, p_down
-        if t - 2 == twice_order:
-            target = p
-        if not half:
-            acc += p_up                          # order t/2 >= 1 contribution
-        if abs(p) > 1e250:
-            p *= 1e-250
-            p_up *= 1e-250
-            target *= 1e-250
-            acc *= 1e-250
-        t -= 2
-    if half:
-        # normalize on e^{-z} I_{1/2} = sqrt(1/(2 pi z)) (1 - e^{-2z})
-        ref = math.sqrt(1.0 / (2.0 * math.pi * z)) * (-math.expm1(-2.0 * z))
-        scale = ref / p
-    else:
-        total = p + 2.0 * acc                    # e^z = I_0 + 2 sum I_k, ladder scale
-        scale = 1.0 / total
-    return target * scale
-
-
-def _i_scaled(twice_order: int, z: float) -> float:
-    """e^{-z} I_m(z), Miller recurrence with adaptive start order."""
-    extra = 24 + int(1.5 * math.sqrt(40.0 + 4.0 * z))
-    prev = _i_scaled_ladder(twice_order, z, extra)
-    for _ in range(6):
-        extra += 24
-        cur = _i_scaled_ladder(twice_order, z, extra)
-        if prev == cur or abs(cur - prev) <= 1e-13 * abs(cur):
-            return cur
-        prev = cur
-    raise SolverConvergenceError(
-        f"I recurrence failed to stabilize at order {twice_order}/2, z={z!r}"
-    )
-
-
 def _check_positive_z(z: float) -> float:
     z = float(z)
     if not z > 0.0 or math.isnan(z) or math.isinf(z):
@@ -268,17 +201,17 @@ def _check_positive_z(z: float) -> float:
     return z
 
 
-def modified_bessel_K(order: BesselOrder, z: float, scaled: bool = False) -> ScaledValue:
+def modified_bessel_K(order: BesselOrder, z: float, scaled: bool = False) -> float:
     """K_m(z) for m = order.twice_order/2.
 
-    With scaled=True the returned mantissa is e^z K_m(z), valid far beyond
+    With scaled=True the returned value is e^z K_m(z), valid far beyond
     the unscaled double range. Unscaled requests that would underflow
     raise RangeLimitError and suggest the scaled mode.
     """
     z = _check_positive_z(z)
     km = _k_scaled(order.twice_order, z)
     if scaled:
-        return ScaledValue(km, True)
+        return km
     if z > UNSCALED_Z_MAX:
         raise RangeLimitError(
             f"e^-z underflows at z={z!r}; request scaled=True for e^z K_m(z)"
@@ -289,33 +222,7 @@ def modified_bessel_K(order: BesselOrder, z: float, scaled: bool = False) -> Sca
             f"unscaled K at order {order} and z={z!r} leaves the double range; "
             "request scaled=True"
         )
-    return ScaledValue(value, False)
-
-
-def modified_bessel_I(order: BesselOrder, z: float, scaled: bool = False) -> ScaledValue:
-    """I_m(z) by downward recurrence (upward recurrence is unstable for I).
-
-    With scaled=True the returned mantissa is e^{-z} I_m(z).
-    """
-    z = _check_positive_z(z)
-    im = _i_scaled(order.twice_order, z)
-    if im == 0.0 or math.isinf(im):
-        raise RangeLimitError(
-            f"I at order {order} and z={z!r} leaves the double range"
-        )
-    if scaled:
-        return ScaledValue(im, True)
-    if z > UNSCALED_Z_MAX:
-        raise RangeLimitError(
-            f"e^z overflows at z={z!r}; request scaled=True for e^-z I_m(z)"
-        )
-    value = im * math.exp(z)
-    if value == 0.0 or value < 2.3e-308 or math.isinf(value):
-        raise RangeLimitError(
-            f"unscaled I at order {order} and z={z!r} leaves the double range; "
-            "request scaled=True"
-        )
-    return ScaledValue(value, False)
+    return value
 
 
 def _g2(z: float) -> float:
@@ -401,43 +308,3 @@ def segura_bracket(n: int, y: float) -> tuple[float, float]:
     z_hi = math.sqrt(y * (y - (n - 2.0)))
     return z_lo, z_hi
 
-
-@dataclass(frozen=True)
-class IdentityResiduals:
-    """Relative residuals of the classical K/I identities at one (order, z)."""
-
-    recurrence_k: float
-    derivative_k: float
-    wronskian: float
-
-
-def identity_residuals(order: BesselOrder, z: float) -> IdentityResiduals:
-    """Residuals of the three-term K recurrence, the K derivative identity,
-    and the I/K Wronskian, all evaluated in scaled arithmetic.
-
-    recurrence_k: K_{m+2} = (2m+2) K_{m+1}/z + K_m.
-    derivative_k: K_m' = -K_{m+1} + m K_m/z, derivative taken by a central
-        finite difference with step h = z*1e-6, so this residual is
-        truncation-limited near 1e-8 rather than rounding-limited.
-    wronskian:    I_m(z) K_{m+1}(z) + I_{m+1}(z) K_m(z) = 1/z.
-    """
-    z = _check_positive_z(z)
-    t = order.twice_order
-    m = 0.5 * t
-    k0 = _k_scaled(t, z)
-    k1 = _k_scaled(t + 2, z)
-    k2 = _k_scaled(t + 4, z)
-    rec = abs(k2 - (2.0 * m + 2.0) * k1 / z - k0) / k2
-
-    h = z * 1e-6
-    # e^z-scaled derivative: d/dz[K_m] * e^z = (K~(z+h)e^-h - K~(z-h)e^+h)/(2h)
-    kp = _k_scaled(t, z + h) * math.exp(-h)
-    km = _k_scaled(t, z - h) * math.exp(h)
-    fd = (kp - km) / (2.0 * h)
-    exact = -k1 + m * k0 / z
-    der = abs(fd - exact) / abs(exact)
-
-    i0 = _i_scaled(t, z)
-    i1 = _i_scaled(t + 2, z)
-    wron = abs(z * (i0 * k1 + i1 * k0) - 1.0)
-    return IdentityResiduals(recurrence_k=rec, derivative_k=der, wronskian=wron)

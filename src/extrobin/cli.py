@@ -360,7 +360,7 @@ def cmd_bessel_table(orders: str, dims_text: str, zmin: float, zmax: float, poin
         z = zmin if i == 0 else zmax if i == points - 1 else zmin * math.exp(i * step)
         row: list = [z]
         for o in order_list:
-            row.append(modified_bessel_K(o, z, scaled=True).mantissa)
+            row.append(modified_bessel_K(o, z, scaled=True))
         for n in dims:
             row.append(ratio_f(n, z))
             row.append(gap_a(n, z))

@@ -12,9 +12,12 @@ are stated where they are established and not re-checked: ``mu_0 = 0``
 (``SpectralSolution`` raises otherwise), Steklov multiplicities, and the
 positive area factor ``(k-1)(k+n-1)`` (``variation._area_factor``).  The
 recurrence ``f_{n+2} = z^2/f_n + n`` and the Macdonald-tail value of
-``u(R)^2`` are covered by the test suite against independent oracles.
-Every check, including those of ``certify_negativity``, is counted by
-``report._Recorder``.
+``u(R)^2`` are covered by the test suite against independent oracles.  So
+is the K kernel, in place of the K/I identities (recurrence, derivative,
+Wronskian): ``tests/test_bessel.py::test_k_against_oracle`` checks
+``e^z K_m`` against 40-digit mpmath for orders 0..6 and z from 1e-3 to
+700.  Every check, including those of ``certify_negativity``, is counted
+by ``report._Recorder``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import random
 
 from .bessel import (
-    EULER_GAMMA, BesselOrder, gap_a, identity_residuals, modified_bessel_K, ratio_f, segura_bracket,
+    EULER_GAMMA, BesselOrder, gap_a, modified_bessel_K, ratio_f, segura_bracket,
 )
 from .errors import DomainError
 from .report import GridConfig, VerificationReport, _Recorder
@@ -76,7 +79,7 @@ def _draw_spectrum(rng: random.Random, n: int) -> PerturbationSpectrum:
 
 
 def run_bessel_suite(grid: GridConfig | None = None) -> VerificationReport:
-    """Ratio bounds, gap bounds, monotonicity, and kernel identities."""
+    """Ratio bounds, gap bounds, monotonicity, the K_2/K_1 envelope and the K_0 log asymptote."""
     cfg = grid if grid is not None else GridConfig()
     dims = cfg.dims if grid is not None else _BESSEL_DIMS
     zs = cfg.z_values()
@@ -184,7 +187,7 @@ def run_bessel_suite(grid: GridConfig | None = None) -> VerificationReport:
         )
 
     # Log-singularity coefficient of K_0 near zero.
-    k0 = modified_bessel_K(BesselOrder(0), 0.01).mantissa
+    k0 = modified_bessel_K(BesselOrder(0), 0.01)
     ref = -math.log(0.005) - EULER_GAMMA
     rec.check(
         abs(k0 / ref - 1.0) <= 1e-3,
@@ -194,43 +197,6 @@ def run_bessel_suite(grid: GridConfig | None = None) -> VerificationReport:
         ref,
         abs(k0 / ref - 1.0) - 1e-3,
     )
-
-    # Recurrence, derivative, and Wronskian residuals on an (order, z) mesh.
-    for twice in range(0, 6):
-        order = BesselOrder(twice)
-        for z in (1e-3, 0.5, 2.0, 10.0, 300.0, 700.0):
-            res = identity_residuals(order, z)
-            params = (("twice_order", float(twice)), ("z", z))
-            rec.check(
-                res.recurrence_k <= 1e-12,
-                "k-recurrence-residual",
-                params,
-                res.recurrence_k,
-                1e-12,
-                res.recurrence_k - 1e-12,
-            )
-            rec.check(
-                res.wronskian <= 1e-12,
-                "ki-wronskian-residual",
-                params,
-                res.wronskian,
-                1e-12,
-                res.wronskian - 1e-12,
-            )
-            # Central-difference truncation grows as (z*1e-6)^2/6; allow
-            # triple that on top of the rounding floor.
-            der_tol = 1e-8 + 0.5 * (z * 1e-6) ** 2
-            rec.check(
-                res.derivative_k <= der_tol,
-                "k-derivative-residual",
-                params,
-                res.derivative_k,
-                der_tol,
-                res.derivative_k - der_tol,
-            )
-            rec.track_max("max_recurrence_residual", res.recurrence_k)
-            rec.track_max("max_wronskian_residual", res.wronskian)
-            rec.track_max("max_derivative_residual", res.derivative_k)
 
     summary = (
         f"dims {dims[0]}..{dims[-1]}; z in [{zs[0]:g}, {zs[-1]:g}] "

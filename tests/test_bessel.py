@@ -1,5 +1,5 @@
-"""Kernel-level tests: scaled Bessel values against an arbitrary-precision
-oracle, the classical identities, and the ratio/gap inequality suite."""
+"""Kernel-level tests: scaled K values against an arbitrary-precision
+oracle, and the ratio/gap inequality suite."""
 
 import math
 
@@ -12,9 +12,7 @@ from extrobin import (
     DomainError,
     RangeLimitError,
     gap_a,
-    identity_residuals,
     modified_bessel_K,
-    modified_bessel_I,
     ratio_f,
     segura_bracket,
 )
@@ -30,10 +28,6 @@ def oracle_k_scaled(order: BesselOrder, z: float) -> float:
     return float(mpmath.besselk(mpmath.mpf(order.twice_order) / 2, z) * mpmath.exp(z))
 
 
-def oracle_i_scaled(order: BesselOrder, z: float) -> float:
-    return float(mpmath.besseli(mpmath.mpf(order.twice_order) / 2, z) * mpmath.exp(-z))
-
-
 def test_order_parsing() -> None:
     assert BesselOrder.parse("0").twice_order == 0
     assert BesselOrder.parse("1/2").twice_order == 1
@@ -46,53 +40,38 @@ def test_order_parsing() -> None:
         BesselOrder.parse("-1/2")
     with pytest.raises(DomainError):
         BesselOrder.from_order(0.3)
+    for text in ("x", "", "nan", "inf", "-inf", "3/2/1", "1/0", "1/x", "1e308/1e-308"):
+        with pytest.raises(DomainError):
+            BesselOrder.parse(text)
+    for value in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            BesselOrder.from_order(value)
 
 
 def test_k_against_oracle() -> None:
     for order in ORDERS:
         for z in Z_SAMPLES:
-            got = modified_bessel_K(order, z, scaled=True).mantissa
+            got = modified_bessel_K(order, z, scaled=True)
             assert rel_err(got, oracle_k_scaled(order, z)) <= 1e-12
-
-
-def test_i_against_oracle() -> None:
-    # I underflows in scaled form at very large z*order; keep z moderate.
-    for order in ORDERS:
-        for z in [1e-3, 0.1, 1.0, 2.0, 10.0, 50.0, 300.0]:
-            got = modified_bessel_I(order, z, scaled=True).mantissa
-            assert rel_err(got, oracle_i_scaled(order, z)) <= 1e-10
 
 
 def test_k_half_integer_closed_forms() -> None:
     # K_{1/2}(z) = sqrt(pi/(2z)) e^{-z}, K_{3/2}(z) = K_{1/2}(z) (z+1)/z.
     assert rel_err(
-        modified_bessel_K(BesselOrder.parse("1/2"), 2.0, scaled=False).mantissa,
+        modified_bessel_K(BesselOrder.parse("1/2"), 2.0, scaled=False),
         math.sqrt(math.pi / 4.0) * math.exp(-2.0),
     ) <= 1e-15
     assert rel_err(
-        modified_bessel_K(BesselOrder.parse("3/2"), 2.0, scaled=False).mantissa,
+        modified_bessel_K(BesselOrder.parse("3/2"), 2.0, scaled=False),
         math.sqrt(math.pi / 4.0) * math.exp(-2.0) * 1.5,
     ) <= 1e-15
 
 
 def test_k0_reference_value() -> None:
     assert rel_err(
-        modified_bessel_K(BesselOrder.parse("0"), 1.0, scaled=False).mantissa,
+        modified_bessel_K(BesselOrder.parse("0"), 1.0, scaled=False),
         float(mpmath.besselk(0, 1)),
     ) <= 1e-14
-
-
-def test_i_reference_values() -> None:
-    assert rel_err(
-        modified_bessel_I(BesselOrder.parse("1/2"), 1.0, scaled=False).mantissa,
-        math.sqrt(2.0 / math.pi) * math.sinh(1.0),
-    ) <= 1e-12
-    assert rel_err(
-        modified_bessel_I(BesselOrder.parse("2"), 1.0, scaled=False).mantissa,
-        float(mpmath.besseli(2, 1)),
-    ) <= 1e-12
-    # I_0(z) -> 1 as z -> 0+.
-    assert abs(modified_bessel_I(BesselOrder.parse("0"), 1e-8, scaled=False).mantissa - 1.0) <= 1e-12
 
 
 def test_domain_and_range_errors() -> None:
@@ -244,34 +223,14 @@ def test_order_one_two_ratio_envelope() -> None:
     # Two-sided rational bounds on K_2/K_1, checked on a moderate window.
     for z in [1e-3, 0.01, 0.1, 1.0, 5.0, 20.0, 50.0]:
         ratio = (
-            modified_bessel_K(BesselOrder.parse("2"), z, scaled=True).mantissa
-            / modified_bessel_K(BesselOrder.parse("1"), z, scaled=True).mantissa
+            modified_bessel_K(BesselOrder.parse("2"), z, scaled=True)
+            / modified_bessel_K(BesselOrder.parse("1"), z, scaled=True)
         )
         assert 2 * (z + 1) ** 2 / (z * (2 * z + 1)) < ratio
         assert ratio < (4 * z * z + 9 * z + 6) / (z * (4 * z + 3))
 
 
-def test_identity_residuals_algebraic() -> None:
-    res = identity_residuals(BesselOrder.parse("1/2"), 2.0)
-    assert res.recurrence_k <= 1e-12
-    assert res.wronskian <= 1e-12
-    res = identity_residuals(BesselOrder.parse("1"), 10.0)
-    assert res.wronskian <= 1e-12
-
-
-def test_identity_residuals_derivative() -> None:
-    # Central finite difference with h = z*1e-6: truncation grows as (z*1e-6)^2/6,
-    # so the blanket 1e-8 bound holds only for moderate z.
-    for order_text in ["0", "1/2", "1", "3/2", "2", "5/2"]:
-        order = BesselOrder.parse(order_text)
-        for z in [1e-3, 0.5, 2.0, 10.0, 300.0, 700.0]:
-            res = identity_residuals(order, z)
-            assert res.recurrence_k <= 1e-12
-            assert res.wronskian <= 1e-12
-            assert res.derivative_k <= 1e-8 + 0.5 * (z * 1e-6) ** 2
-
-
 def test_k0_log_asymptote() -> None:
     z = 0.01
-    k0 = modified_bessel_K(BesselOrder.parse("0"), z, scaled=False).mantissa
+    k0 = modified_bessel_K(BesselOrder.parse("0"), z, scaled=False)
     assert abs(k0 / (-math.log(z / 2.0) - 0.5772156649015329) - 1.0) <= 1e-3

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: subcommand contracts, exit codes, file formats,
-and byte determinism, driven through subprocesses; error paths and extreme
-inputs also run in-process through ``cli.main``."""
+and byte determinism.  Commands run in-process through ``cli.main``; real
+subprocesses are kept where the process boundary is the point: the
+``python -m extrobin.cli`` entry point, determinism across interpreters,
+and the modules a cold import loads."""
 
 import contextlib
 import csv
@@ -9,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,14 +21,41 @@ import extrobin.cli as cli_mod
 from extrobin import VerificationReport, Violation
 
 
-def run_cli(*args: str, **kwargs):
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*args: str) -> CliRun:
+    """Exit code, stdout and stderr of ``cli.main`` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli_mod.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return CliRun(code, out.getvalue(), err.getvalue())
+
+
+def run_subprocess(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "extrobin.cli", *args],
         capture_output=True,
         text=True,
         timeout=120,
-        **kwargs,
     )
+
+
+def test_module_entry_point() -> None:
+    # A success and a solver failure: same streams and exit code as in-process.
+    for argv in (
+        ("dispersion", "--n", "3", "--alpha", "-3"),
+        ("dispersion", "--n", "3", "--alpha", "-0.5"),
+    ):
+        proc = run_subprocess(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv)
 
 
 def test_dispersion_alpha() -> None:
@@ -79,11 +109,11 @@ def test_dispersion_csv_and_out(tmp_path) -> None:
 
 
 def test_determinism() -> None:
-    first = run_cli("dispersion", "--n", "5", "--radius", "0.7", "--alpha", "-9.25")
-    second = run_cli("dispersion", "--n", "5", "--radius", "0.7", "--alpha", "-9.25")
+    first = run_subprocess("dispersion", "--n", "5", "--radius", "0.7", "--alpha", "-9.25")
+    second = run_subprocess("dispersion", "--n", "5", "--radius", "0.7", "--alpha", "-9.25")
     assert first.stdout == second.stdout
-    v1 = run_cli("verify", "--suite", "quant")
-    v2 = run_cli("verify", "--suite", "quant")
+    v1 = run_subprocess("verify", "--suite", "quant")
+    v2 = run_subprocess("verify", "--suite", "quant")
     assert v1.returncode == 0 and v1.stdout == v2.stdout
 
 
@@ -314,23 +344,11 @@ def test_help_lists_subcommands() -> None:
         assert name in proc.stdout
 
 
-def run_in_process(*args: str) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of ``cli.main`` run in this process."""
-    out, err = io.StringIO(), io.StringIO()
-    code = 0
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            cli_mod.main(list(args))
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 def test_verify_grid_rejected_for_fixed_grid_suites(tmp_path) -> None:
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"dims": [3]}))
     for suite in ("spectra", "quant"):
-        code, out, err = run_in_process("verify", "--suite", suite, "--grid", str(cfg))
+        code, out, err = run_cli("verify", "--suite", suite, "--grid", str(cfg))
         assert code == 1 and out == ""
         assert err == f"error: --grid does not apply to --suite {suite}\n"
 
@@ -343,11 +361,13 @@ def test_verify_grid_rejected_for_fixed_grid_suites(tmp_path) -> None:
         (("quant-bound", "--n", "3", "--radius", "1e-120", "--alpha", "-3e120"), 2),
         (("dispersion", "--n", "3", "--alpha", "-3", "--out", "{missing}/x.json"), 1),
         (("dispersion", "--n", "3", "--alpha", "-3", "--out", "{dir}"), 1),
+        (("bessel-table", "--orders", "x"), 1),
+        (("bessel-table", "--orders", "1/0"), 1),
     ],
 )
 def test_failures_exit_with_one_error_line(tmp_path, argv, code) -> None:
     argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
-    got, out, err = run_in_process(*argv)
+    got, out, err = run_cli(*argv)
     assert got == code and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -376,7 +396,7 @@ def test_extreme_inputs_end_in_an_exit_code(command, n, radius, value, other) ->
         "curve": ["curve", *point, "--lambda-min", repr(value), "--lambda-max", repr(other),
                   "--points", "3"],
     }[command]
-    assert run_in_process(*argv)[0] in (0, 1, 2, 3)
+    assert run_cli(*argv)[0] in (0, 1, 2, 3)
 
 
 def test_cli_imports_no_click() -> None:

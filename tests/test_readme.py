@@ -1,4 +1,5 @@
-"""The README's library quickstart runs as written."""
+"""The README's library quickstart runs as written and prints what its
+comments say."""
 
 import pathlib
 import re
@@ -11,4 +12,10 @@ def test_quickstart_runs(capsys) -> None:
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
-    assert "variation.negativity pass" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "variation.negativity pass" in out
+    # `print(...)  # value (remark)`: the quickstart opens with two such
+    # lines, and each must print exactly the value its comment quotes.
+    quoted = [c.split(" (")[0] for c in re.findall(r"^print\(.*?\)[ \t]+# (.*)$", blocks[0], re.M)]
+    assert len(quoted) == 2
+    assert out.splitlines()[:2] == quoted

@@ -38,9 +38,9 @@ def closed_tail_boundary_sq(n: int, R: float, z: float) -> float:
     numerator.
     """
     twice_nu = n - 2
-    k_lo = modified_bessel_K(BesselOrder(twice_order=abs(twice_nu - 2)), z, scaled=True).mantissa
-    k_mid = modified_bessel_K(BesselOrder(twice_order=twice_nu), z, scaled=True).mantissa
-    k_hi = modified_bessel_K(BesselOrder(twice_order=twice_nu + 2), z, scaled=True).mantissa
+    k_lo = modified_bessel_K(BesselOrder(twice_order=abs(twice_nu - 2)), z, scaled=True)
+    k_mid = modified_bessel_K(BesselOrder(twice_order=twice_nu), z, scaled=True)
+    k_hi = modified_bessel_K(BesselOrder(twice_order=twice_nu + 2), z, scaled=True)
     tail = (z * z / 2.0) * (k_lo * k_hi - k_mid * k_mid)
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     return z * z * k_mid * k_mid / (omega * R**n * tail)

@@ -71,12 +71,12 @@ def test_run_suites_order_and_all() -> None:
 def test_default_check_counts() -> None:
     reports = run_suites(("all",))
     assert {r.suite: r.checks_run for r in reports} == {
-        "bessel.identities": 11_090,
+        "bessel.identities": 10_982,
         "spectra.roundtrip": 699,
         "variation.identities": 4_725,
         "quant.ratio-bound": 202,
     }
-    assert sum(r.checks_run for r in reports) == 16_716
+    assert sum(r.checks_run for r in reports) == 16_608
     assert all(r.status == "pass" for r in reports)
     assert certify_negativity().checks_run == 3_975
 
