@@ -48,18 +48,31 @@ _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 # Largest z for which e^{-z} K stays inside normal doubles.
 UNSCALED_Z_MAX = 700.0
 
+# Largest Bessel order accepted; see BesselOrder.
+_MAX_ORDER = 10**6
+
 _CF2_MAX_ITER = 10000
 _SERIES_MAX_TERMS = 80
 
 
 @dataclass(frozen=True)
 class BesselOrder:
-    """Exact order m = twice_order / 2, covering integers and half-integers."""
+    """Exact order m = twice_order / 2, covering integers and half-integers.
+
+    Orders above 10^6 raise ``DomainError``: there e^z K_m(z)
+    overflows for every z <= 10^6, so the recurrence would only spend
+    m steps to report it.
+    """
 
     twice_order: int
 
     def __post_init__(self) -> None:
         require_int(self.twice_order, "twice_order", 0)
+        if self.twice_order > 2 * _MAX_ORDER:
+            raise DomainError(
+                f"order must not exceed {_MAX_ORDER}; above it e^z K_m(z) "
+                f"overflows for every z <= 1e6"
+            )
 
     @property
     def is_half_integer(self) -> bool:

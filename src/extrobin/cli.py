@@ -29,8 +29,8 @@ from .counterexample import (
 from .errors import ExtrobinError, NoDiscreteEigenvalueError, RangeLimitError, SolverConvergenceError
 from .report import parse_grid_file, parse_spectrum_file
 from .spectra import (
-    BallGeometry, Z_MAX, Z_MIN, alpha_star, count_discrete, shifted_steklov, solution_from_lambda,
-    solve_lambda,
+    BallGeometry, Z_MAX, Z_MIN, alpha_of_lambda, alpha_star, count_discrete, shifted_steklov,
+    solution_from_lambda, solve_lambda,
 )
 from .variation import PerturbationSpectrum, quant_bound, quant_ratio_check, second_variation
 from .verify import run_suites
@@ -163,13 +163,11 @@ def cmd_curve(dims_text: str, radius: float, lambda_min: float, lambda_max: floa
         )
     rows: list[tuple] = []
     for n in dims:
-        BallGeometry(n, radius)
+        geom = BallGeometry(n, radius)
         for i in range(points):
             # Exact at both endpoints, unlike offset-plus-span stepping.
             lam = ((points - 1 - i) * lambda_min + i * lambda_max) / (points - 1)
-            z = radius * math.sqrt(-lam)
-            al = -ratio_f(n, z) / radius
-            rows.append((n, radius, lam, z, al))
+            rows.append((n, radius, lam, radius * math.sqrt(-lam), alpha_of_lambda(geom, lam)))
     _emit_table(("n", "R", "lambda", "z", "alpha"), rows, "csv", out)
 
 

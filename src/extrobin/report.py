@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import GridFileError
@@ -20,6 +21,26 @@ _DEFAULT_Z_GRID = (1e-3, 700.0, 200)
 _DEFAULT_DIMS = (3, 4, 5, 6, 7, 8, 9, 10)
 _DEFAULT_RADII = (0.2, 1.0, 5.0)
 _DEFAULT_MULTIPLIERS = (1.01, 1.1, 1.5, 3.0, 10.0, 50.0)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _floats(values, name: str, ok, rule: str) -> tuple[float, ...]:
+    """``values`` as a non-empty tuple of finite floats that all satisfy ``ok``.
+
+    Anything else raises ``GridFileError``: bools, non-numbers, NaN,
+    infinities and integers too large for a float.
+    """
+    if not values:
+        raise GridFileError(f"{name} must be non-empty")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+            abs(v) <= sys.float_info.max and ok(v)
+        ):
+            raise GridFileError(f"{name} must be finite and {rule}, got {v!r}")
+    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -50,42 +71,42 @@ class GridConfig:
         if not self.dims:
             raise GridFileError("dims must be non-empty")
         for n in self.dims:
-            if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+            if not _is_int(n) or n < 2:
                 raise GridFileError(f"dims entries must be integers >= 2, got {n!r}")
-        if not self.radii:
-            raise GridFileError("radii must be non-empty")
-        for r in self.radii:
-            if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
-                raise GridFileError(f"radii entries must be positive, got {r!r}")
+        radii = _floats(self.radii, "radii", lambda r: r > 0, "positive")
+        object.__setattr__(self, "radii", radii)
         if self.alpha_multipliers is not None:
             if any(n == 2 for n in self.dims):
                 raise GridFileError(
                     "alpha multipliers are relative to alpha_star = -(n-2)/R, "
                     "which vanishes for n = 2; give absolute alpha values instead"
                 )
-            for m in self.alpha_multipliers:
-                if not (isinstance(m, (int, float)) and math.isfinite(m) and m > 1.0):
-                    raise GridFileError(
-                        f"alpha multipliers must exceed 1, got {m!r}"
-                    )
+            multipliers = _floats(
+                self.alpha_multipliers, "alpha multipliers", lambda m: m > 1.0, "above 1"
+            )
+            object.__setattr__(self, "alpha_multipliers", multipliers)
         if self.alpha_absolute is not None:
-            for a in self.alpha_absolute:
-                if not (isinstance(a, (int, float)) and math.isfinite(a) and a < 0):
-                    raise GridFileError(
-                        f"absolute alpha values must be negative, got {a!r}"
-                    )
-        lo, hi = self.k_range
-        if not (isinstance(lo, int) and isinstance(hi, int) and 2 <= lo <= hi <= 200):
-            raise GridFileError(
-                f"k_range must satisfy 2 <= lo <= hi <= 200, got {self.k_range!r}"
+            absolute = _floats(
+                self.alpha_absolute, "absolute alpha values", lambda a: a < 0, "negative"
             )
-        zmin, zmax, pts = self.z_grid
-        if not (0 < zmin < zmax <= 700.0):
+            object.__setattr__(self, "alpha_absolute", absolute)
+        if not (
+            len(self.k_range) == 2
+            and all(_is_int(k) for k in self.k_range)
+            and 2 <= self.k_range[0] <= self.k_range[1] <= 200
+        ):
             raise GridFileError(
-                f"z_grid needs 0 < min < max <= 700, got {self.z_grid!r}"
+                f"k_range must be integers 2 <= lo <= hi <= 200, got {self.k_range!r}"
             )
-        if not (isinstance(pts, int) and pts >= 2):
+        zmin, zmax = _floats(
+            self.z_grid[:2], "z_grid bounds", lambda z: 0 < z <= 700.0, "in (0, 700]"
+        )
+        if not zmin < zmax:
+            raise GridFileError(f"z_grid needs min < max, got {self.z_grid!r}")
+        pts = self.z_grid[2]
+        if not (_is_int(pts) and pts >= 2):
             raise GridFileError(f"z_grid point count must be >= 2, got {pts!r}")
+        object.__setattr__(self, "z_grid", (zmin, zmax, pts))
 
     def alphas_for(self, n: int, R: float) -> tuple[float, ...]:
         """Robin parameters this grid prescribes at dimension ``n``, radius ``R``."""
@@ -118,6 +139,9 @@ def default_certify_grids() -> tuple[GridConfig, ...]:
     )
 
 
+_Params = tuple[tuple[str, float], ...]
+
+
 @dataclass(frozen=True)
 class Violation:
     """One failed check: identifier, grid point, and the failed comparison.
@@ -127,7 +151,7 @@ class Violation:
     """
 
     check_id: str
-    params: tuple[tuple[str, float], ...]
+    params: _Params
     lhs: float
     rhs: float
     margin: float
@@ -181,13 +205,7 @@ class _Recorder:
         self._metrics: dict[str, float] = {}
 
     def check(
-        self,
-        ok: bool,
-        check_id: str,
-        params: tuple[tuple[str, float], ...],
-        lhs: float,
-        rhs: float,
-        margin: float,
+        self, ok: bool, check_id: str, params: _Params, lhs: float, rhs: float, margin: float
     ) -> None:
         self.checks += 1
         if not ok:
@@ -200,6 +218,23 @@ class _Recorder:
                     margin=float(margin),
                 )
             )
+
+    def within(
+        self, check_id: str, params: _Params, value: float, ref: float, tol: float,
+        scale: float = 1.0,
+    ) -> float:
+        """Check ``|value - ref| / scale <= tol`` and return that error."""
+        err = abs(value - ref) / scale
+        self.check(err <= tol, check_id, params, value, ref, err - tol)
+        return err
+
+    def below(self, check_id: str, params: _Params, value: float, bound: float) -> None:
+        """Check ``value < bound``."""
+        self.check(value < bound, check_id, params, value, bound, value - bound)
+
+    def above(self, check_id: str, params: _Params, value: float, bound: float) -> None:
+        """Check ``value > bound``."""
+        self.check(value > bound, check_id, params, value, bound, bound - value)
 
     def track_max(self, name: str, value: float) -> None:
         prev = self._metrics.get(name, -math.inf)
@@ -216,23 +251,13 @@ class _Recorder:
         )
 
 
-def _as_tuple_of(value, kind, key: str):
-    if not isinstance(value, list) or not value:
-        raise GridFileError(f"grid file: {key!r} must be a non-empty list")
-    out = []
-    for item in value:
-        if kind is int:
-            if not isinstance(item, int) or isinstance(item, bool):
-                raise GridFileError(f"grid file: {key!r} entries must be integers")
-            out.append(item)
-        else:
-            if not isinstance(item, (int, float)) or isinstance(item, bool):
-                raise GridFileError(f"grid file: {key!r} entries must be numbers")
-            out.append(float(item))
-    return tuple(out)
-
-
 _GRID_KEYS = {"dims", "radii", "alpha", "k_range", "z_grid"}
+
+
+def _listed(value, key: str) -> tuple:
+    if not isinstance(value, list):
+        raise GridFileError(f"grid file: {key!r} must be a list")
+    return tuple(value)
 
 
 def parse_grid_file(path: str) -> GridConfig:
@@ -248,7 +273,8 @@ def parse_grid_file(path: str) -> GridConfig:
           "z_grid": {"min": 1e-3, "max": 700.0, "points": 200}
         }
 
-    Malformed structure raises ``GridFileError``.
+    This only reshapes the JSON into ``GridConfig`` fields, which validates
+    the values.  Malformed structure or values raise ``GridFileError``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -263,11 +289,7 @@ def parse_grid_file(path: str) -> GridConfig:
     if unknown:
         raise GridFileError(f"grid file: unknown keys {sorted(unknown)}")
 
-    kwargs: dict = {}
-    if "dims" in raw:
-        kwargs["dims"] = _as_tuple_of(raw["dims"], int, "dims")
-    if "radii" in raw:
-        kwargs["radii"] = _as_tuple_of(raw["radii"], float, "radii")
+    kwargs = {key: _listed(raw[key], key) for key in ("dims", "radii", "k_range") if key in raw}
     if "alpha" in raw:
         alpha = raw["alpha"]
         if (
@@ -280,39 +302,16 @@ def parse_grid_file(path: str) -> GridConfig:
                 '{"multipliers": [...]}'
             )
         key, values = next(iter(alpha.items()))
+        kwargs[f"alpha_{key}"] = _listed(values, f"alpha.{key}")
         if key == "absolute":
-            kwargs["alpha_absolute"] = _as_tuple_of(values, float, "alpha.absolute")
             kwargs["alpha_multipliers"] = None
-        else:
-            kwargs["alpha_multipliers"] = _as_tuple_of(
-                values, float, "alpha.multipliers"
-            )
-    if "k_range" in raw:
-        pair = raw["k_range"]
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-        ):
-            raise GridFileError('grid file: "k_range" must be a pair of integers')
-        kwargs["k_range"] = (pair[0], pair[1])
     if "z_grid" in raw:
         zg = raw["z_grid"]
         if not isinstance(zg, dict) or set(zg) != {"min", "max", "points"}:
             raise GridFileError(
                 'grid file: "z_grid" must be {"min": ..., "max": ..., "points": ...}'
             )
-        if not all(
-            isinstance(zg[k], (int, float)) and not isinstance(zg[k], bool)
-            for k in ("min", "max")
-        ) or not isinstance(zg["points"], int) or isinstance(zg["points"], bool):
-            raise GridFileError('grid file: "z_grid" fields have wrong types')
-        kwargs["z_grid"] = (float(zg["min"]), float(zg["max"]), zg["points"])
-
-    if "alpha" not in raw and any(n == 2 for n in kwargs.get("dims", ())):
-        raise GridFileError(
-            "grid file: dims containing 2 require explicit absolute alpha values"
-        )
+        kwargs["z_grid"] = (zg["min"], zg["max"], zg["points"])
     return GridConfig(**kwargs)
 
 

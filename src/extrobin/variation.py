@@ -156,6 +156,15 @@ def _mode_coefficients(sol: SpectralSolution, levels: list[SteklovLevel]) -> lis
     """Mode coefficients ``L(k)`` for ``k = 1..k_max``.
 
     ``levels`` is the caller's ladder ``shifted_steklov(sol, k_max)``.
+
+    With ``a = a_val``, ``y = -alpha*R`` and ``mu = mu_k``, the identity
+    ``R^4 mu L(k) = -2a^2 - y R mu (2a + k^2 + (n-2)k - (n-1))`` is algebra:
+    ``K = a/R^2`` and ``alpha = -y/R`` give
+    ``R^4 mu * 2K*alpha = -2a y R mu``,
+    ``R^4 mu * (alpha/R^2)(k(n+k-2) - (n-1)) = -y R mu (k^2 + (n-2)k - (n-1))``
+    and ``R^4 mu * 2K^2/mu = 2a^2``.  ``verify`` does not re-check it;
+    ``tests/test_variation.py::test_mode_coefficient_identity_property``
+    compares the coefficients with its right-hand side.
     """
     n, R = sol.geom.n, sol.geom.R
     K = sol.K_const
@@ -199,6 +208,15 @@ def second_variation(
     (``BarycenterConstraintError``).  A purely translational spectrum is
     admitted only with ``allow_pure_translation=True``, in which case both
     second variations vanish identically and the report says so.
+
+    The decomposition ``lambda_ddot = 2 u^2 alpha K sum b^2 + alpha u^2
+    S_ddot - 2 Q`` is algebra: ``lambda_ddot = u^2 sum L(k) b^2``, and the
+    three terms of ``L(k)`` summed against ``u^2 b^2`` give
+    ``2 u^2 K alpha sum b^2``, ``alpha u^2 sum (k(n+k-2) - (n-1)) b^2 / R^2
+    = alpha u^2 S_ddot`` and ``-2 u^2 K^2 sum b^2/mu_k = -2 Q``.  ``verify``
+    does not re-check it; ``tests/test_variation.py::test_decomposition_identity``
+    and ``tests/test_acceptance.py::test_criterion_06_decomposition_identity``
+    do.
     """
     n, R = sol.geom.n, sol.geom.R
     spectrum.validate_for(n)
@@ -348,25 +366,21 @@ def certify_negativity(grid: GridConfig | None = None) -> VerificationReport:
                     )
                     # L(1) = 2K*alpha - 2K^2/mu_1 cancels two terms of size
                     # |2K*alpha|; that sets the rounding scale.
-                    l1_rel = abs(coeffs[0]) / (4.0 * abs(sol.K_const * alpha))
-                    rec.check(
-                        l1_rel <= _TRANSLATION_REL_TOL,
+                    l1_rel = rec.within(
                         "translation-mode-vanishes",
                         params + (("k", 1.0),),
                         coeffs[0],
                         0.0,
-                        l1_rel - _TRANSLATION_REL_TOL,
+                        _TRANSLATION_REL_TOL,
+                        scale=4.0 * abs(sol.K_const * alpha),
                     )
                     rec.track_max("max_translation_residual_rel", l1_rel)
                     for k in range(k_lo, k_hi + 1):
-                        lk = coeffs[k - 1]
-                        rec.check(
-                            lk < 0.0,
+                        rec.below(
                             "mode-coefficient-negative",
                             params + (("k", float(k)),),
-                            lk,
+                            coeffs[k - 1],
                             0.0,
-                            lk,
                         )
                     rec.track_max(
                         "max_mode_coefficient_k_ge_2", max(coeffs[k_lo - 1 : k_hi])

@@ -40,7 +40,12 @@ def test_order_parsing() -> None:
         BesselOrder.parse("-1/2")
     with pytest.raises(DomainError):
         BesselOrder.from_order(0.3)
-    for text in ("x", "", "nan", "inf", "-inf", "3/2/1", "1/0", "1/x", "1e308/1e-308"):
+    # The largest order is 10^6; larger ones raise before any recurrence runs.
+    assert BesselOrder.parse("1e6").twice_order == 2_000_000
+    for text in (
+        "x", "", "nan", "inf", "-inf", "3/2/1", "1/0", "1/x", "1e308/1e-308",
+        "1e300", "2000001/2",
+    ):
         with pytest.raises(DomainError):
             BesselOrder.parse(text)
     for value in (math.nan, math.inf):

@@ -363,6 +363,7 @@ def test_verify_grid_rejected_for_fixed_grid_suites(tmp_path) -> None:
         (("dispersion", "--n", "3", "--alpha", "-3", "--out", "{dir}"), 1),
         (("bessel-table", "--orders", "x"), 1),
         (("bessel-table", "--orders", "1/0"), 1),
+        (("bessel-table", "--orders", "1e300", "--points", "2"), 1),
     ],
 )
 def test_failures_exit_with_one_error_line(tmp_path, argv, code) -> None:

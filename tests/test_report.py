@@ -1,6 +1,7 @@
 """Grid configuration, report structures, and the two file parsers."""
 
 import json
+import math
 
 import pytest
 
@@ -13,6 +14,7 @@ from extrobin import (
     parse_grid_file,
     parse_spectrum_file,
 )
+from extrobin.report import _Recorder
 
 
 def test_grid_defaults() -> None:
@@ -46,6 +48,16 @@ def test_grid_validation() -> None:
         GridConfig(z_grid=(1.0, 800.0, 10))
     with pytest.raises(GridFileError):
         GridConfig(z_grid=(1.0, 2.0, 1))
+    with pytest.raises(GridFileError):
+        GridConfig(radii=(True,))
+    with pytest.raises(GridFileError):
+        GridConfig(z_grid=("a", 2.0, 3))
+    with pytest.raises(GridFileError):
+        GridConfig(dims=(2,), alpha_multipliers=None, alpha_absolute=())
+    # Numbers are normalized to floats, so equal grids compare equal.
+    grid = GridConfig(radii=(1,), alpha_multipliers=(2,), z_grid=(1, 2, 3))
+    assert grid == GridConfig(radii=(1.0,), alpha_multipliers=(2.0,), z_grid=(1.0, 2.0, 3))
+    assert isinstance(grid.radii[0], float) and isinstance(grid.z_grid[0], float)
 
 
 def test_alphas_for() -> None:
@@ -77,6 +89,30 @@ def test_report_status() -> None:
     record = bad.to_dict()
     assert record["status"] == "fail"
     assert record["violations"][0]["check_id"] == "c"
+
+
+def test_recorder_helpers() -> None:
+    rec = _Recorder()
+    params = (("n", 3.0),)
+    assert rec.within("w", params, 1.5, 1.0, 0.25, scale=2.0) == 0.25
+    rec.below("b", params, -1.0, 0.0)
+    rec.above("a", params, 1.0, 0.0)
+    assert rec.checks == 3 and rec.violations == []
+    # A failed check's margin is positive by the amount it failed.
+    rec.within("w", params, 2.0, 1.0, 0.25)
+    rec.below("b", params, 1.0, 0.5)
+    rec.above("a", params, 0.5, 1.0)
+    assert [(v.check_id, v.lhs, v.rhs, v.margin) for v in rec.violations] == [
+        ("w", 2.0, 1.0, 0.75),
+        ("b", 1.0, 0.5, 0.5),
+        ("a", 0.5, 1.0, 0.5),
+    ]
+    # NaN fails every helper.
+    rec = _Recorder()
+    rec.within("w", params, math.nan, 1.0, 0.25)
+    rec.below("b", params, math.nan, 0.0)
+    rec.above("a", params, math.nan, 0.0)
+    assert [v.check_id for v in rec.violations] == ["w", "b", "a"]
 
 
 def test_parse_grid_file(tmp_path) -> None:
@@ -117,6 +153,21 @@ def test_parse_grid_file_errors(tmp_path) -> None:
     with pytest.raises(GridFileError):
         parse_grid_file(str(path))
     path.write_text(json.dumps({"z_grid": {"min": 1.0, "max": 2.0}}))
+    with pytest.raises(GridFileError):
+        parse_grid_file(str(path))
+    for bad in (
+        {"radii": 1.0},
+        {"radii": [True]},
+        {"k_range": [2, "x"]},
+        {"k_range": [2, 3, 4]},
+        {"alpha": {"absolute": []}},
+        {"z_grid": {"min": "a", "max": 2.0, "points": 3}},
+        {"z_grid": {"min": 1.0, "max": 2.0, "points": 3.0}},
+    ):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(GridFileError):
+            parse_grid_file(str(path))
+    path.write_text('{"radii": [1' + "0" * 400 + "]}")
     with pytest.raises(GridFileError):
         parse_grid_file(str(path))
     with pytest.raises(GridFileError):

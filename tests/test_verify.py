@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import extrobin.spectra
+import extrobin.variation
 import extrobin.verify
 from extrobin import (
     DomainError,
@@ -73,10 +74,10 @@ def test_default_check_counts() -> None:
     assert {r.suite: r.checks_run for r in reports} == {
         "bessel.identities": 10_982,
         "spectra.roundtrip": 699,
-        "variation.identities": 4_725,
+        "variation.identities": 4_295,
         "quant.ratio-bound": 202,
     }
-    assert sum(r.checks_run for r in reports) == 16_608
+    assert sum(r.checks_run for r in reports) == 16_178
     assert all(r.status == "pass" for r in reports)
     assert certify_negativity().checks_run == 3_975
 
@@ -102,4 +103,16 @@ def test_fault_in_gap_is_caught(monkeypatch) -> None:
     monkeypatch.setattr(extrobin.spectra, "gap_a", _perturbed(extrobin.spectra.gap_a))
     counts = _violation_counts(run_suites(("spectra", "quant")))
     assert counts["steklov-first-level-identity"] > 0
+    assert counts["margin-reference-value"] > 0
+
+
+def test_fault_in_mode_coefficients_is_caught(monkeypatch) -> None:
+    # verify does not re-derive L(k); the quant reference value must catch it.
+    original = extrobin.variation._mode_coefficients
+    monkeypatch.setattr(
+        extrobin.variation,
+        "_mode_coefficients",
+        lambda sol, levels: [c * (1.0 + 1e-9) for c in original(sol, levels)],
+    )
+    counts = _violation_counts(run_suites(("quant",)))
     assert counts["margin-reference-value"] > 0
