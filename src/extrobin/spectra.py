@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from scipy.integrate import quad
 
@@ -75,19 +76,22 @@ class SpectralSolution:
     """Solved principal eigenvalue together with its derived quantities.
 
     Stored: the geometry, ``alpha``, the root ``z = R*sqrt(-lam)`` of the
-    dispersion relation, ``a_val = gap_a(n, z)``, and ``u_boundary_sq``, the
-    square of the eigenfunction at the boundary under unit L2 norm.
-    Derived from those: ``lam = -(z/R)**2``, ``y = -alpha*R`` and
-    ``K_const = a_val / R**2``, which equals ``alpha**2 + alpha*(n-1)/R + lam``.
-    Construction raises ``DomainError`` unless ``lam < 0``, ``K_const < 0`` and
-    ``u_boundary_sq > 0``, so every solution has that sign structure.
+    dispersion relation and ``a_val = gap_a(n, z)``.  Derived from those:
+    ``lam = -(z/R)**2``, ``y = -alpha*R`` and ``K_const = a_val / R**2``,
+    which equals ``alpha**2 + alpha*(n-1)/R + lam``.  Construction raises
+    ``DomainError`` unless ``lam < 0`` and ``K_const < 0``, and
+    ``RangeLimitError`` when ``lam`` or ``K_const`` underflows to zero.
+
+    ``u_boundary_sq``, the square of the eigenfunction at the boundary under
+    unit L2 norm, is integrated on first read and cached.  That read raises
+    ``DomainError`` unless the value is positive, and ``RangeLimitError``
+    when ``R**n`` or the sphere area leaves the double range.
     """
 
     geom: BallGeometry
     alpha: float
     z: float
     a_val: float
-    u_boundary_sq: float
 
     @property
     def lam(self) -> float:
@@ -102,10 +106,27 @@ class SpectralSolution:
         R = self.geom.R
         return self.a_val / (R * R)
 
+    @cached_property
+    def u_boundary_sq(self) -> float:
+        """``u(R)^2`` under unit L2 norm, integrated on first read."""
+        n, R = self.geom.n, self.geom.R
+        try:
+            value = _boundary_sq(n, R, self.z)
+        except (OverflowError, ZeroDivisionError) as exc:
+            # R**n or the sphere area's gamma leaves the double range.
+            raise _range_error(n, R, self.z, f"{type(exc).__name__}: {exc}") from exc
+        if not value > 0.0:
+            raise DomainError("spectral solution requires K_const < 0 and u^2 > 0")
+        return value
+
     def __post_init__(self) -> None:
+        if self.z > 0.0 and self.a_val < 0.0 and (self.lam == 0.0 or self.K_const == 0.0):
+            # R is so large that -(z/R)**2 or a_val/R**2 underflows.
+            n, R = self.geom.n, self.geom.R
+            raise _range_error(n, R, self.z, "lambda or K underflows to zero")
         if not (self.lam < 0.0 and self.z > 0.0 and self.y > 0.0):
             raise DomainError("spectral solution requires lam < 0 and z, y > 0")
-        if not (self.K_const < 0.0 and self.u_boundary_sq > 0.0):
+        if not self.K_const < 0.0:
             raise DomainError("spectral solution requires K_const < 0 and u^2 > 0")
 
 
@@ -242,22 +263,18 @@ def _solve_z(n: int, y: float) -> float:
     return best_z
 
 
+def _range_error(n: int, R: float, z: float, reason: str) -> RangeLimitError:
+    return RangeLimitError(
+        f"solution at n = {n}, R = {R:g}, z = {z:.6g} leaves the double range ({reason})"
+    )
+
+
 def _solution_from_z(geom: BallGeometry, alpha: float, z: float) -> SpectralSolution:
-    n, R = geom.n, geom.R
     try:
-        return SpectralSolution(
-            geom=geom,
-            alpha=alpha,
-            z=z,
-            a_val=gap_a(n, z),
-            u_boundary_sq=_boundary_sq(n, R, z),
-        )
+        return SpectralSolution(geom=geom, alpha=alpha, z=z, a_val=gap_a(geom.n, z))
     except (OverflowError, ZeroDivisionError) as exc:
-        # (z/R)**2, R**n or the sphere area's gamma leaves the double range.
-        raise RangeLimitError(
-            f"solution at n = {n}, R = {R:g}, z = {z:.6g} leaves the double "
-            f"range ({type(exc).__name__}: {exc})"
-        ) from exc
+        # (z/R)**2 overflows or R*R underflows to zero.
+        raise _range_error(geom.n, geom.R, z, f"{type(exc).__name__}: {exc}") from exc
 
 
 def solve_lambda(geom: BallGeometry, alpha: float) -> SpectralSolution:
@@ -376,7 +393,9 @@ def count_discrete(geom: BallGeometry, alpha: float, *, with_multiplicity: bool 
     For ``n >= 3`` the count equals the number of harmonic Steklov levels
     strictly below ``-alpha``, each weighted by its harmonic multiplicity
     (or by one when ``with_multiplicity`` is false); it is zero when
-    ``alpha >= alpha_star``.
+    ``alpha >= alpha_star``.  With ``L`` such levels the weighted sum
+    telescopes to ``C(n+L-2, n-1) + C(n+L-3, n-1)``, which is ``L**2`` for
+    ``n = 3``.
     """
     if geom.n < 3:
         raise DomainError("count_discrete requires n >= 3")
@@ -384,9 +403,22 @@ def count_discrete(geom: BallGeometry, alpha: float, *, with_multiplicity: bool 
         raise DomainError(f"alpha must be finite, got {alpha}")
     if alpha >= alpha_star(geom):
         return 0
-    total = 0
-    l = 0
-    while (geom.n - 2 + l) / geom.R < -alpha:
-        total += multiplicity(geom.n, l) if with_multiplicity else 1
-        l += 1
-    return total
+    n, R = geom.n, geom.R
+    if not math.isfinite(2.0 * alpha * R):
+        raise RangeLimitError(
+            f"alpha = {alpha:g} at R = {R:g}: the level count leaves the double range"
+        )
+    # L is the first degree l with (n-2+l)/R >= -alpha.  That float test is
+    # monotone in l, so bisection finds the boundary a walk over the levels
+    # finds; degree 0 lies below since alpha < alpha_star, and degree
+    # 2*(-alpha*R) + 2 does not.
+    lo, hi = 1, 2 * math.ceil(-alpha * R) + 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (n - 2 + mid) / R < -alpha:
+            lo = mid + 1
+        else:
+            hi = mid
+    if not with_multiplicity:
+        return lo
+    return math.comb(n + lo - 2, n - 1) + math.comb(n + lo - 3, n - 1)

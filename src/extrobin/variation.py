@@ -295,8 +295,9 @@ def quant_bound(sol: SpectralSolution) -> QuantBound:
     Every admissible perturbation satisfies
     ``lambda_ddot / S_ddot <= ratio_bound``, equivalently
     ``lambda_ddot <= -deficit_constant * S_ddot`` with
-    ``deficit_constant = -alpha*u(R)^2/(n+1) > 0``: ``alpha < 0`` and
-    ``u(R)^2 > 0`` hold for every ``SpectralSolution``.
+    ``deficit_constant = -alpha*u(R)^2/(n+1) > 0``: ``alpha < 0`` holds
+    for every ``SpectralSolution``, and reading ``u_boundary_sq`` raises
+    ``DomainError`` unless ``u(R)^2 > 0``.
     """
     ratio_bound = sol.alpha * sol.u_boundary_sq / (sol.geom.n + 1)
     return QuantBound(ratio_bound=ratio_bound, deficit_constant=-ratio_bound)

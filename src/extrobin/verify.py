@@ -9,7 +9,8 @@ A check here can fail: it compares a computed value against a bound, a
 reference value or a second code path.  Facts that hold by construction
 are stated where they are established and not re-checked: ``mu_0 = 0``
 (``shifted_steklov``), the signs ``lam < 0``, ``K < 0``, ``u(R)^2 > 0``
-(``SpectralSolution`` raises otherwise), Steklov multiplicities, and the
+(``SpectralSolution`` raises otherwise, the last on the first read of
+``u_boundary_sq``), Steklov multiplicities, and the
 positive area factor ``(k-1)(k+n-1)`` (``variation._area_factor``).  The
 recurrence ``f_{n+2} = z^2/f_n + n`` and the Macdonald-tail value of
 ``u(R)^2`` are covered by the test suite against independent oracles.  So

@@ -3,6 +3,7 @@ multiplicities, and the boundary normalization."""
 
 import math
 import random
+import warnings
 
 import mpmath
 import pytest
@@ -120,12 +121,24 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @example(n=400, R=1.0, value=-100.0, inverse=True)
 def test_extreme_inputs_raise_only_typed_errors(n, R, value, inverse) -> None:
     # Overflow in (z/R)**2, R**n or the sphere area must surface as an
-    # ExtrobinError, in both solve directions.
+    # ExtrobinError, in both solve directions; R**n and the sphere area are
+    # evaluated when u(R)^2 is first read.
     solve = solution_from_lambda if inverse else solve_lambda
     try:
-        solve(BallGeometry(n, R), value)
+        solve(BallGeometry(n, R), value).u_boundary_sq
     except ExtrobinError:
         pass
+
+
+def test_failed_normalization_raises_on_read() -> None:
+    # A valid near-threshold root whose quadrature fails: the solve returns,
+    # and the failure surfaces, typed, where u(R)^2 is read.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve_lambda(BallGeometry(6, 1.0), -4.000000000000001)
+        assert sol.lam < 0.0 and sol.K_const < 0.0
+        with pytest.raises(DomainError, match=r"^spectral solution requires K_const < 0 and u\^2 > 0$"):
+            sol.u_boundary_sq
 
 
 def test_n2_spot_solution() -> None:
@@ -234,14 +247,46 @@ def test_steklov_harmonic_limit() -> None:
         assert abs(level.mu - alpha - harm.mu) <= 1e-3
 
 
+def _count_by_levels(geom: BallGeometry, alpha: float, with_multiplicity: bool) -> int:
+    """The level-by-level sum that count_discrete replaces by a closed form."""
+    if alpha >= alpha_star(geom):
+        return 0
+    total = 0
+    l = 0
+    while (geom.n - 2 + l) / geom.R < -alpha:
+        total += multiplicity(geom.n, l) if with_multiplicity else 1
+        l += 1
+    return total
+
+
+def test_count_discrete_closed_form_matches_level_sum() -> None:
+    for n in range(3, 13):
+        for R in (0.3, 1.0, 7.0):
+            geom = BallGeometry(n, R)
+            for l in range(25):
+                edge = -(n - 2 + l) / R
+                for alpha in (edge, math.nextafter(edge, -math.inf),
+                              math.nextafter(edge, math.inf), edge - 0.5 / R):
+                    for weighted in (True, False):
+                        assert count_discrete(geom, alpha, with_multiplicity=weighted) == (
+                            _count_by_levels(geom, alpha, weighted)
+                        )
+
+
 def test_count_discrete() -> None:
     geom = BallGeometry(3, 1.0)
     assert count_discrete(geom, -1.5) == 1
     assert count_discrete(geom, -2.5) == 4
     assert count_discrete(geom, -0.5) == 0
     assert count_discrete(geom, -2.5, with_multiplicity=False) == 2
+    # 10**10 - 1 levels lie below 1e10, counted at once; at n = 3 the count
+    # with multiplicity is their number squared.
+    assert count_discrete(geom, -1e10) == (10**10 - 1) ** 2
+    assert count_discrete(geom, -1e10, with_multiplicity=False) == 10**10 - 1
     with pytest.raises(DomainError):
         count_discrete(BallGeometry(2, 1.0), -3.0)
+    with pytest.raises(RangeLimitError):
+        count_discrete(BallGeometry(3, 1e10), -1e300)
 
 
 def test_normalization_against_closed_tail(solution_pool) -> None:

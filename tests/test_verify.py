@@ -82,6 +82,34 @@ def test_default_check_counts() -> None:
     assert certify_negativity().checks_run == 3_975
 
 
+def test_normalization_integrated_only_when_read(monkeypatch) -> None:
+    # u(R)^2 only scales lambda_ddot and the quant bound, so a solve does not
+    # integrate it, a solution integrates it once, and the certificate
+    # (signs of L(k)) never does.
+    calls = []
+    original = extrobin.spectra._boundary_sq
+
+    def counting(n, R, z):
+        calls.append(n)
+        return original(n, R, z)
+
+    monkeypatch.setattr(extrobin.spectra, "_boundary_sq", counting)
+    sol = extrobin.spectra.solve_lambda(extrobin.spectra.BallGeometry(4, 1.0), -5.0)
+    assert calls == []
+    first = sol.u_boundary_sq
+    assert sol.u_boundary_sq == first
+    assert calls == [4]
+    calls.clear()
+    certify_negativity()
+    assert calls == []
+    per_suite = {}
+    for name in ("bessel", "spectra", "variation", "quant"):
+        calls.clear()
+        run_suites((name,))
+        per_suite[name] = len(calls)
+    assert per_suite == {"bessel": 0, "spectra": 0, "variation": 30, "quant": 26}
+
+
 def _perturbed(fn):
     """``fn`` with a planted relative error of 1e-9."""
     return lambda n, z: fn(n, z) * (1.0 + 1e-9)
