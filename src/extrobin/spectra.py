@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from scipy.integrate import quad
-
 from .bessel import (
     UNSCALED_Z_MAX,
     _g_ladder,
@@ -64,11 +62,6 @@ class BallGeometry:
         require_int(self.n, "dimension", 2)
         if not math.isfinite(self.R) or self.R <= 0.0:
             raise DomainError(f"radius must be positive and finite, got {self.R}")
-
-    @property
-    def boundary_area(self) -> float:
-        """Surface measure of the sphere of radius ``R``."""
-        return _sphere_area(self.n) * self.R ** (self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -161,6 +154,11 @@ def multiplicity(n: int, k: int) -> int:
     """
     require_int(n, "dimension", 2)
     require_int(k, "harmonic degree", 0)
+    return _dim(n, k)
+
+
+def _dim(n: int, k: int) -> int:
+    """``multiplicity(n, k)`` for arguments the caller has validated."""
     lower = math.comb(n + k - 3, n - 1) if n + k - 3 >= 0 else 0
     return math.comb(n + k - 1, n - 1) - lower
 
@@ -332,6 +330,8 @@ def _boundary_sq(n: int, R: float, z: float) -> float:
     is the unit-sphere area.  The scaled form keeps every factor in double
     range for all supported ``z``.
     """
+    # Imported here: SciPy is most of a cold start, and only this quadrature uses it.
+    from scipy.integrate import quad
     two_nu = n - 2
     kz = _k_scaled(two_nu, z)
 
@@ -365,7 +365,7 @@ def shifted_steklov(sol: SpectralSolution, k_max: int) -> list[SteklovLevel]:
     base = len(gs) - 1 - k_max
     g_n = gs[base]
     return [
-        SteklovLevel(k=k, mu=(gs[base + k] - g_n) / R, dim=multiplicity(n, k))
+        SteklovLevel(k=k, mu=(gs[base + k] - g_n) / R, dim=_dim(n, k))
         for k in range(k_max + 1)
     ]
 
@@ -382,7 +382,7 @@ def harmonic_steklov(geom: BallGeometry, l_max: int) -> list[SteklovLevel]:
         raise DomainError("harmonic Steklov spectrum requires n >= 3")
     require_int(l_max, "l_max", 0)
     return [
-        SteklovLevel(k=l, mu=(geom.n - 2 + l) / geom.R, dim=multiplicity(geom.n, l))
+        SteklovLevel(k=l, mu=(geom.n - 2 + l) / geom.R, dim=_dim(geom.n, l))
         for l in range(l_max + 1)
     ]
 

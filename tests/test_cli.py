@@ -407,3 +407,45 @@ def test_cli_imports_no_click() -> None:
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert proc.stdout == "[]\n"
+
+
+def _fresh_interpreter(script: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, check=True,
+    )
+    return proc.stdout
+
+
+def test_cli_import_loads_only_stdlib() -> None:
+    # Compared with the modules present before the import, since site may
+    # already have loaded third-party packages such as certifi.
+    out = _fresh_interpreter(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import extrobin.cli\n"
+        "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'extrobin'}))\n"
+    )
+    assert out == "[]\n"
+
+
+def test_scipy_loaded_only_to_integrate_the_normalization() -> None:
+    commands = [
+        ["steklov", "--n", "3", "--alpha", "-3", "--kmax", "4"],
+        ["curve", "--n", "2,3", "--lambda-min", "-4", "--lambda-max", "-1", "--points", "5"],
+        ["counterexample", "square", "--alpha", "-10"],
+        ["bessel-table", "--points", "3"],
+        ["verify", "--suite", "bessel"],
+        ["dispersion", "--n", "3", "--alpha", "-3"],
+    ]
+    out = _fresh_interpreter(
+        "import contextlib, io, json, sys\n"
+        "from extrobin import cli\n"
+        "loaded = []\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(argv)\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert json.loads(out) == [False] * 5 + [True]

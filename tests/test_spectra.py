@@ -225,6 +225,15 @@ def test_multiplicity_table() -> None:
         assert multiplicity(n, 0) == 1
 
 
+def test_ladder_dims_match_multiplicity() -> None:
+    for n in range(2, 13):
+        expected = [multiplicity(n, k) for k in range(65)]
+        geom = BallGeometry(n, 1.0)
+        assert [l.dim for l in shifted_steklov(solution_from_lambda(geom, -4.0), 64)] == expected
+        if n >= 3:
+            assert [l.dim for l in harmonic_steklov(geom, 64)] == expected
+
+
 def test_harmonic_steklov() -> None:
     levels = harmonic_steklov(BallGeometry(3, 1.0), 2)
     assert [l.mu for l in levels] == [1.0, 2.0, 3.0]
